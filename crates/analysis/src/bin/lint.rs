@@ -1,8 +1,8 @@
 //! Workspace lint gate: `cargo run -p analysis --bin lint`.
 //!
 //! Scans every library source under `crates/*/src` against the rules in
-//! [`analysis::lint`] and exits nonzero on any finding, so CI can gate on
-//! it. `--rules` prints the rule table.
+//! [`analysis::lint`] and exits nonzero on any finding or stale allowlist
+//! entry, so CI can gate on it. `--rules` prints the rule table.
 
 use std::process::ExitCode;
 
@@ -24,13 +24,17 @@ fn main() -> ExitCode {
     for f in &report.findings {
         println!("{f}");
     }
-    if report.findings.is_empty() {
+    for s in &report.stale {
+        println!("{s}");
+    }
+    if report.is_clean() {
         println!("lint clean: {} library files scanned, 0 findings", report.files_scanned);
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "lint: {} finding(s) across {} scanned files",
+            "lint: {} finding(s) and {} stale allowlist entries across {} scanned files",
             report.findings.len(),
+            report.stale.len(),
             report.files_scanned
         );
         ExitCode::FAILURE

@@ -10,7 +10,7 @@
 //!    *without executing anything*. Findings carry stable `USTC001`..
 //!    diagnostic codes ([`Code`]) with severities and spans, rendered
 //!    human-readable or as JSON ([`Report`]). [`UstcVerifier`] plugs the
-//!    verifier into [`simkit::driver::Driver::verify_before_run`] so
+//!    verifier into [`simkit::driver::KernelSpec::verify`] so
 //!    illegal streams are rejected before a single cycle is simulated.
 //! 2. **The concurrency verifier** ([`concurrency`], [`schedule`]) —
 //!    proves the parallel runtime's determinism claims statically:

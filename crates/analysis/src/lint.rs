@@ -21,11 +21,14 @@
 //! Test modules (everything from the first `#[cfg(test)]` line on), doc /
 //! line comments, binaries, benches and integration tests are out of
 //! scope. Each rule carries an explicit per-file allowlist: the grandfathered
-//! sites are named here, in review, rather than silently tolerated.
+//! sites are named here, in review, rather than silently tolerated. An
+//! allowlist entry that exempts no violating line is itself a failure
+//! ([`LintReport::stale`]), so the lists shrink as the code is cleaned up.
 //!
 //! Run as `cargo run -p analysis --bin lint` (CI fails on any finding) or
 //! via the `workspace_is_lint_clean` test.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -201,7 +204,6 @@ const RULES: &[Rule] = &[
             "conformance/src/generators.rs",
             "conformance/src/golden.rs",
             "core/src/kernels.rs",
-            "core/src/multi.rs",
             "core/src/schedule.rs",
             "sparse/src/bbc/build.rs",
             "sparse/src/bbc/mod.rs",
@@ -242,7 +244,6 @@ const RULES: &[Rule] = &[
         check: has_event_mutation,
         allow: &[
             "baselines/src/",
-            "core/src/multi.rs",
             "core/src/pipeline.rs",
             "simkit/src/driver.rs",
             "simkit/src/result.rs",
@@ -308,6 +309,26 @@ impl std::fmt::Display for Finding {
     }
 }
 
+/// An allowlist entry that exempted no violating line in the scanned
+/// sources.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StaleAllow {
+    /// Rule whose allowlist holds the entry.
+    pub rule: &'static str,
+    /// The unused entry (a workspace-relative path substring).
+    pub entry: &'static str,
+}
+
+impl std::fmt::Display for StaleAllow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "[{}] stale allowlist entry \"{}\" exempts no violating line",
+            self.rule, self.entry
+        )
+    }
+}
+
 /// Summary of one lint run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintReport {
@@ -315,7 +336,19 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// All findings, in path order.
     pub findings: Vec<Finding>,
+    /// Allowlist entries no finding needed, in rule order.
+    pub stale: Vec<StaleAllow>,
 }
+
+impl LintReport {
+    /// Whether the run found no violation and no stale allowlist entry.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty() && self.stale.is_empty()
+    }
+}
+
+/// The `(rule, entry)` allowlist pairs that exempted at least one line.
+type UsedAllows = BTreeSet<(&'static str, &'static str)>;
 
 /// Whether a library source path is in scope for linting.
 fn in_scope(rel: &str) -> bool {
@@ -332,13 +365,20 @@ fn in_scope(rel: &str) -> bool {
     !rel.ends_with("tests.rs")
 }
 
-fn allowed(rule: &Rule, rel: &str) -> bool {
-    rule.allow.iter().any(|a| rel.contains(a))
+/// Whether `rel` is allowlisted for `rule`, recording every entry that
+/// matched in `used`.
+fn allowed(rule: &Rule, rel: &str, used: &mut UsedAllows) -> bool {
+    let mut hit = false;
+    for &entry in rule.allow.iter().filter(|a| rel.contains(*a)) {
+        used.insert((rule.name, entry));
+        hit = true;
+    }
+    hit
 }
 
 /// Lints one file's contents (already read), given its workspace-relative
-/// path.
-fn lint_source(rel: &str, source: &str, findings: &mut Vec<Finding>) {
+/// path. Allowlist entries that exempted a line are recorded in `used`.
+fn lint_source(rel: &str, source: &str, findings: &mut Vec<Finding>, used: &mut UsedAllows) {
     for (i, raw) in source.lines().enumerate() {
         let line = raw.trim();
         if line == P_CFG_TEST {
@@ -348,7 +388,7 @@ fn lint_source(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             continue; // doc and line comments
         }
         for rule in RULES {
-            if (rule.check)(line) && !allowed(rule, rel) {
+            if (rule.check)(line) && !allowed(rule, rel, used) {
                 findings.push(Finding {
                     rule: rule.name,
                     file: rel.to_owned(),
@@ -396,6 +436,7 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
         }
     }
     let mut findings = Vec::new();
+    let mut used = UsedAllows::new();
     let mut files_scanned = 0usize;
     for path in files {
         let rel = path
@@ -408,9 +449,14 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
         }
         files_scanned += 1;
         let source = fs::read_to_string(&path)?;
-        lint_source(&rel, &source, &mut findings);
+        lint_source(&rel, &source, &mut findings, &mut used);
     }
-    Ok(LintReport { files_scanned, findings })
+    let stale = RULES
+        .iter()
+        .flat_map(|r| r.allow.iter().map(move |&entry| StaleAllow { rule: r.name, entry }))
+        .filter(|s| !used.contains(&(s.rule, s.entry)))
+        .collect();
+    Ok(LintReport { files_scanned, findings, stale })
 }
 
 /// The workspace root, derived from this crate's manifest directory.
@@ -483,7 +529,7 @@ mod tests {
             "fn ok() {{}}\n// comment with {P_UNWRAP}\n{P_CFG_TEST}\nfn t() {{ x{P_UNWRAP}; }}\n"
         );
         let mut findings = Vec::new();
-        lint_source("crates/demo/src/lib.rs", &src, &mut findings);
+        lint_source("crates/demo/src/lib.rs", &src, &mut findings, &mut UsedAllows::new());
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -491,7 +537,7 @@ mod tests {
     fn scanner_reports_violations_with_locations() {
         let src = format!("fn bad() {{\n    x{P_UNWRAP};\n}}\n");
         let mut findings = Vec::new();
-        lint_source("crates/demo/src/lib.rs", &src, &mut findings);
+        lint_source("crates/demo/src/lib.rs", &src, &mut findings, &mut UsedAllows::new());
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "no-unwrap");
         assert_eq!(findings[0].line, 2);
@@ -502,8 +548,27 @@ mod tests {
     fn allowlists_are_honoured() {
         let src = format!("fn grandfathered() {{ x{P_UNWRAP}; }}\n");
         let mut findings = Vec::new();
-        lint_source("crates/conformance/src/shrink.rs", &src, &mut findings);
+        let mut used = UsedAllows::new();
+        lint_source("crates/conformance/src/shrink.rs", &src, &mut findings, &mut used);
         assert!(findings.is_empty());
+        assert!(used.contains(&("no-unwrap", "conformance/src/shrink.rs")));
+    }
+
+    #[test]
+    fn unused_allowlist_entries_are_stale() {
+        // A one-file workspace with no violations: every entry is stale.
+        let root = std::env::temp_dir().join(format!("ustc-lint-stale-{}", std::process::id()));
+        let src = root.join("crates/demo/src");
+        fs::create_dir_all(&src).expect("temp dir is writable");
+        fs::write(src.join("lib.rs"), "pub fn clean() {}\n").expect("temp file is writable");
+        let report = run(&root);
+        let _ = fs::remove_dir_all(&root);
+        let report = report.expect("temp workspace is readable");
+        assert!(report.findings.is_empty());
+        let entries: usize = RULES.iter().map(|r| r.allow.len()).sum();
+        assert_eq!(report.stale.len(), entries);
+        assert!(!report.is_clean());
+        assert!(report.stale[0].to_string().contains("stale allowlist entry"));
     }
 
     #[test]
@@ -522,6 +587,8 @@ mod tests {
         assert!(report.files_scanned > 40, "scanned {} files", report.files_scanned);
         let rendered: Vec<String> = report.findings.iter().map(Finding::to_string).collect();
         assert!(report.findings.is_empty(), "lint findings:\n{}", rendered.join("\n"));
+        let stale: Vec<String> = report.stale.iter().map(StaleAllow::to_string).collect();
+        assert!(report.stale.is_empty(), "stale allowlist entries:\n{}", stale.join("\n"));
     }
 
     #[test]

@@ -410,11 +410,9 @@ fn diff_kernels(expected: &CompiledKernel, actual: &CompiledKernel) -> Report {
     report
 }
 
-/// [`simkit::driver::StreamVerifier`] adapter: lets the simkit [`Driver`]
-/// reject illegal streams with their first `USTC` error code before
-/// simulating them.
-///
-/// [`Driver`]: simkit::driver::Driver
+/// [`simkit::driver::StreamVerifier`] adapter: lets
+/// [`simkit::driver::KernelSpec::verify`] reject illegal streams with
+/// their first `USTC` error code before they are simulated.
 #[derive(Debug, Clone)]
 pub struct UstcVerifier {
     verifier: Verifier,

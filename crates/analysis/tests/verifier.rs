@@ -1,11 +1,12 @@
 //! Integration tests for the static stream verifier: seeded illegal
 //! streams must be flagged with their exact stable `USTC` codes, every
 //! conformance generator regime must verify clean, and the simkit driver
-//! bridge must reject corrupted streams before simulating a cycle.
+//! gate (`KernelSpec::verify`) must reject corrupted streams before
+//! simulating a cycle.
 
 use analysis::{Code, StreamModel, T1Node, T3Node, UstcVerifier, Verifier};
 use conformance::generators::{sparse_vector, Regime};
-use simkit::driver::{Driver, Kernel};
+use simkit::driver::{Kernel, KernelSpec};
 use simkit::fault::FaultPlan;
 use simkit::{driver, EnergyModel};
 use sparse::{BbcField, BbcMatrix, CooMatrix, CsrMatrix};
@@ -109,8 +110,9 @@ fn driver_gate_passes_clean_streams_unchanged() {
     let engine = UniStc::default();
     let energy = EnergyModel::default();
     let verifier = UstcVerifier::new(UniStcConfig::default());
-    let gated = Driver::new(&engine, &energy).verify_before_run(&verifier);
-    let rep = gated.spmv(&a).expect("clean stream must pass the gate");
+    let spec = KernelSpec::SpMV { a: &a };
+    spec.verify(&verifier).expect("clean stream must pass the gate");
+    let rep = driver::run_tasks(&engine, &energy, spec.kernel(), spec.tasks());
     let direct = driver::run_spmv(&engine, &energy, &a);
     assert_eq!(rep.counter_signature(), direct.counter_signature());
 }
@@ -120,15 +122,27 @@ fn driver_gate_rejects_corrupt_metadata_with_ustc012() {
     let a = bbc(32, (0..32).map(|i| (i, i)));
     let mut bad = a.clone();
     bad.flip_bit(BbcField::BitmapLv2, 0, 3);
-    let engine = UniStc::default();
-    let energy = EnergyModel::default();
     let verifier = UstcVerifier::new(UniStcConfig::default());
-    let gated = Driver::new(&engine, &energy).verify_before_run(&verifier);
-    let err = gated.spmv(&bad).expect_err("corrupt metadata must be rejected");
+    let spec = KernelSpec::SpMV { a: &bad };
+    let err = spec.verify(&verifier).expect_err("corrupt metadata must be rejected");
     assert_eq!(err.code, "USTC012");
     assert!(err.to_string().contains("USTC012"), "{err}");
     // Without the gate, the driver happily simulates the corrupted stream.
-    assert!(Driver::new(&engine, &energy).spmv(&bad).is_ok());
+    let rep = driver::run_spmv(&UniStc::default(), &EnergyModel::default(), &bad);
+    assert!(rep.t1_tasks > 0);
+}
+
+#[test]
+fn driver_gate_rejects_non_conforming_spgemm_grids_with_ustc012() {
+    let a = bbc(32, [(0, 0)]);
+    let b = bbc(48, [(0, 0)]);
+    let verifier = UstcVerifier::new(UniStcConfig::default());
+    let spec = KernelSpec::SpGEMM { a: &a, b: &b };
+    assert_eq!(spec.conforms().expect_err("2x2 vs 3x3 blocks").code, "USTC012");
+    let err = spec.verify(&verifier).expect_err("the gate includes the grid check");
+    assert_eq!(err.code, "USTC012");
+    let square = KernelSpec::SpGEMM { a: &a, b: &a };
+    assert!(square.verify(&verifier).is_ok());
 }
 
 #[test]
@@ -137,20 +151,20 @@ fn fault_bridge_catches_bit_flips_before_execution() {
     let engine = UniStc::default();
     let energy = EnergyModel::default();
     let verifier = UstcVerifier::new(UniStcConfig::default());
-    let gated = Driver::new(&engine, &energy).verify_before_run(&verifier);
     // A saturating fault plan flips metadata bits with certainty; the
     // static gate must catch the corruption before any cycle is simulated.
-    let plan = FaultPlan::uniform(0xF00D, 1.0);
-    let err = gated.spmv_faulted(&a, &plan).expect_err("metadata corruption must be caught");
+    let (corrupted, _) = FaultPlan::uniform(0xF00D, 1.0).inject_into(&a);
+    let err = KernelSpec::SpMV { a: &corrupted }
+        .verify(&verifier)
+        .expect_err("metadata corruption must be caught");
     assert_eq!(err.code, "USTC012");
     // The empty plan injects nothing: the gated run matches the plain one.
-    let none = FaultPlan::none(0xF00D);
-    let rep = gated.spmv_faulted(&a, &none).expect("no faults, no rejection");
-    assert_eq!(rep.events.faults_injected, 0);
-    let ungated = Driver::new(&engine, &energy)
-        .spmv_faulted(&a, &none)
-        .expect("ungated driver never rejects");
-    assert_eq!(rep.counter_signature(), ungated.counter_signature());
+    let (untouched, outcome) = FaultPlan::none(0xF00D).inject_into(&a);
+    assert_eq!(outcome.log.injected(), 0);
+    let spec = KernelSpec::SpMV { a: &untouched };
+    spec.verify(&verifier).expect("no faults, no rejection");
+    let rep = driver::run_tasks(&engine, &energy, spec.kernel(), spec.tasks());
+    assert_eq!(rep.counter_signature(), driver::run_spmv(&engine, &energy, &a).counter_signature());
 }
 
 #[test]

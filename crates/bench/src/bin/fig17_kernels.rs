@@ -13,8 +13,9 @@
 //! bit-identical at any thread count).
 
 use bench::output::{Report, Section};
-use bench::{headline_engines, threads_arg, MatrixCtx, KERNELS};
-use simkit::driver::Kernel;
+use bench::{headline_engines, run_threaded, threads_arg, MatrixCtx, KERNELS};
+use runtime::RuntimeConfig;
+use simkit::driver::{Kernel, KernelReport, KernelSpec};
 use simkit::metrics::{geomean, Comparison};
 use simkit::{EnergyModel, Precision};
 use workloads::dlmc::{layers, DnnModel};
@@ -52,7 +53,10 @@ fn geomean_note(name: &str, cs: &[Comparison]) -> String {
 
 fn main() {
     let em = EnergyModel::default();
-    let threads = threads_arg();
+    let cfg = RuntimeConfig::with_threads(threads_arg());
+    let run = |e: &(dyn simkit::TileEngine + Sync), spec: KernelSpec<'_>| -> KernelReport {
+        run_threaded(&cfg, e, &em, spec).expect("production engines never fail a shard").report
+    };
     let mut report = Report::new(
         "Fig. 17: representative matrices (64 MAC@FP64) and DNN inference (128 MAC@FP32), normalised to DS-STC",
     );
@@ -68,10 +72,10 @@ fn main() {
         let mut per_engine: Vec<(String, Vec<Comparison>)> = Vec::new();
         for ctx in &reps {
             let engines = headline_engines(Precision::Fp64);
-            let baseline = ctx.run_threaded(engines[0].as_ref(), &em, kernel, threads);
+            let baseline = run(engines[0].as_ref(), ctx.spec(kernel));
             let mut row = vec![ctx.name.clone()];
             for e in &engines[1..] {
-                let r = ctx.run_threaded(e.as_ref(), &em, kernel, threads);
+                let r = run(e.as_ref(), ctx.spec(kernel));
                 let c = Comparison::of(&r, &baseline);
                 row.push(comparison_cell(&c));
                 match per_engine.iter_mut().find(|(n, _)| n == e.name()) {
@@ -116,37 +120,17 @@ fn main() {
                 );
                 let act_bbc = sparse::BbcMatrix::from_csr(&act);
                 let engines = headline_engines(Precision::Fp32);
-                let run = |e: &(dyn simkit::TileEngine + Sync)| {
-                    if threads <= 1 {
-                        match kernel {
-                            // Weight x dense activation block (dense inference).
-                            Kernel::SpMM => {
-                                simkit::driver::run_spmm(e, &em, &w_bbc, layer.batch_cols)
-                            }
-                            // Conv treated as SpGEMM: sparse weight x sparse
-                            // activation matrix.
-                            _ => simkit::driver::run_spgemm(e, &em, &w_bbc, &act_bbc),
-                        }
-                    } else {
-                        let cfg = runtime::RuntimeConfig::with_threads(threads);
-                        match kernel {
-                            Kernel::SpMM => runtime::run_spmm_sharded(
-                                &cfg,
-                                e,
-                                &em,
-                                &w_bbc,
-                                layer.batch_cols,
-                            ),
-                            _ => runtime::run_spgemm_sharded(&cfg, e, &em, &w_bbc, &act_bbc),
-                        }
-                        .expect("production engines never fail a shard")
-                        .report
-                    }
+                let spec = match kernel {
+                    // Weight x dense activation block (dense inference).
+                    Kernel::SpMM => KernelSpec::SpMM { a: &w_bbc, n_cols: layer.batch_cols },
+                    // Conv treated as SpGEMM: sparse weight x sparse
+                    // activation matrix.
+                    _ => KernelSpec::SpGEMM { a: &w_bbc, b: &act_bbc },
                 };
-                let baseline = run(engines[0].as_ref());
+                let baseline = run(engines[0].as_ref(), spec);
                 let mut row = vec![format!("{} {label} s={sparsity:.2}", layer.label())];
                 for e in &engines[1..] {
-                    let r = run(e.as_ref());
+                    let r = run(e.as_ref(), spec);
                     let c = Comparison::of(&r, &baseline);
                     row.push(comparison_cell(&c));
                     if e.name() == "Uni-STC" {

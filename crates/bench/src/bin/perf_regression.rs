@@ -32,7 +32,7 @@ use std::str::FromStr;
 use bench::output::{Report, Section};
 use bench::perf::{self, BenchDoc};
 use bench::MatrixCtx;
-use simkit::driver::run_spmv_traced;
+use simkit::driver::{run_tasks_traced, spmv_tasks, Kernel};
 use simkit::{EnergyModel, Precision};
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
@@ -122,7 +122,13 @@ fn write_chrome_trace(path: &Path) {
     let ctx = MatrixCtx::new(rep.name, rep.matrix, 5);
     let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
     let mut events: Vec<obs::TraceEvent> = Vec::new();
-    let report = run_spmv_traced(&engine, &EnergyModel::default(), &ctx.bbc, &mut events);
+    let report = run_tasks_traced(
+        &engine,
+        &EnergyModel::default(),
+        Kernel::SpMV,
+        spmv_tasks(&ctx.bbc),
+        &mut events,
+    );
     std::fs::write(path, obs::chrome::export_pretty(&events)).expect("write chrome trace");
     eprintln!(
         "wrote {} ({} events, {} cycles on {})",
@@ -135,7 +141,8 @@ fn write_chrome_trace(path: &Path) {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let doc = perf::collect_threaded(&args.label, args.threads);
+    let doc = perf::collect_threaded(&args.label, args.threads)
+        .expect("production engines never fail a shard intrinsically");
 
     let out_path = repo_root().join(format!("BENCH_{}.json", args.label));
     std::fs::write(&out_path, doc.to_json().to_json_pretty()).expect("write BENCH json");

@@ -13,14 +13,17 @@
 //! bit-identical at any thread count).
 
 use bench::output::{Report, Section};
-use bench::{corpus_contexts, headline_engines, spgemm_within_cap, threads_arg, KERNELS};
+use bench::{
+    corpus_contexts, headline_engines, run_threaded, spgemm_within_cap, threads_arg, KERNELS,
+};
+use runtime::RuntimeConfig;
 use simkit::driver::Kernel;
 use simkit::metrics::{Comparison, CorpusSummary};
 use simkit::{EnergyModel, Precision};
 
 fn main() {
     let em = EnergyModel::default();
-    let threads = threads_arg();
+    let cfg = RuntimeConfig::with_threads(threads_arg());
     let contexts = corpus_contexts();
     let mut report = Report::new(format!(
         "Table VIII: Uni-STC vs DS-STC / RM-STC over {} corpus matrices",
@@ -41,12 +44,17 @@ fn main() {
                 continue;
             }
             let engines = headline_engines(Precision::Fp64);
-            let ds = ctx.run_threaded(engines[0].as_ref(), &em, kernel, threads);
+            let run = |e: &(dyn simkit::TileEngine + Sync)| {
+                run_threaded(&cfg, e, &em, ctx.spec(kernel))
+                    .expect("production engines never fail a shard")
+                    .report
+            };
+            let ds = run(engines[0].as_ref());
             if ds.t1_tasks == 0 {
                 continue;
             }
-            let rm = ctx.run_threaded(engines[1].as_ref(), &em, kernel, threads);
-            let uni = ctx.run_threaded(engines[2].as_ref(), &em, kernel, threads);
+            let rm = run(engines[1].as_ref());
+            let uni = run(engines[2].as_ref());
             vs_ds.push(Comparison::of(&uni, &ds));
             vs_rm.push(Comparison::of(&uni, &rm));
         }

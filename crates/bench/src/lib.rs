@@ -12,7 +12,8 @@ pub mod output;
 pub mod perf;
 
 use baselines::{DsStc, Gamma, NvDtc, RmStc, Sigma, Trapezoid};
-use simkit::driver::{self, Kernel, KernelReport};
+use runtime::{PlannedRunError, RuntimeConfig, ShardPlan, ShardedRun};
+use simkit::driver::{self, Kernel, KernelReport, KernelSpec};
 use simkit::{EnergyModel, Precision, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
 use uni_stc::{UniStc, UniStcConfig};
@@ -71,88 +72,42 @@ impl MatrixCtx {
         MatrixCtx { name: name.into(), csr, bbc, x_sparse }
     }
 
-    /// Runs one kernel on one engine.
+    /// The context's invocation of `kernel`: SpMV and SpMSpV on the
+    /// matrix (the latter with the 50 %-sparse x), SpMM against
+    /// [`SPMM_N_COLS`] dense columns, SpGEMM squaring the matrix.
+    pub fn spec(&self, kernel: Kernel) -> KernelSpec<'_> {
+        match kernel {
+            Kernel::SpMV => KernelSpec::SpMV { a: &self.bbc },
+            Kernel::SpMSpV => KernelSpec::SpMSpV { a: &self.bbc, x: &self.x_sparse },
+            Kernel::SpMM => KernelSpec::SpMM { a: &self.bbc, n_cols: SPMM_N_COLS },
+            Kernel::SpGEMM => KernelSpec::SpGEMM { a: &self.bbc, b: &self.bbc },
+        }
+    }
+
+    /// Runs one kernel on one engine with the serial driver.
     pub fn run(&self, engine: &dyn TileEngine, em: &EnergyModel, kernel: Kernel) -> KernelReport {
-        match kernel {
-            Kernel::SpMV => driver::run_spmv(engine, em, &self.bbc),
-            Kernel::SpMSpV => driver::run_spmspv(engine, em, &self.bbc, &self.x_sparse),
-            Kernel::SpMM => driver::run_spmm(engine, em, &self.bbc, SPMM_N_COLS),
-            Kernel::SpGEMM => driver::run_spgemm(engine, em, &self.bbc, &self.bbc),
-        }
+        driver::run_tasks(engine, em, kernel, self.spec(kernel).tasks())
     }
+}
 
-    /// Runs one kernel through the resilient parallel runtime, sharded
-    /// under `cfg`. The merged report is bit-identical to [`MatrixCtx::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`uni_stc::multi::DegradedError::RetriesExhausted`] if a
-    /// shard failed intrinsically past the retry budget (only possible
-    /// with a panicking engine).
-    pub fn run_sharded(
-        &self,
-        cfg: &runtime::RuntimeConfig,
-        engine: &(dyn TileEngine + Sync),
-        em: &EnergyModel,
-        kernel: Kernel,
-    ) -> Result<runtime::ShardedRun, uni_stc::multi::DegradedError> {
-        match kernel {
-            Kernel::SpMV => runtime::run_spmv_sharded(cfg, engine, em, &self.bbc),
-            Kernel::SpMSpV => {
-                runtime::run_spmspv_sharded(cfg, engine, em, &self.bbc, &self.x_sparse)
-            }
-            Kernel::SpMM => runtime::run_spmm_sharded(cfg, engine, em, &self.bbc, SPMM_N_COLS),
-            Kernel::SpGEMM => runtime::run_spgemm_sharded(cfg, engine, em, &self.bbc, &self.bbc),
-        }
-    }
-
-    /// Runs one kernel on `threads` workers — the serial driver at 1
-    /// thread (the default path, byte-for-byte the pre-runtime behavior),
-    /// the sharded runtime above that. Reports are bit-identical across
-    /// all thread counts.
-    pub fn run_threaded(
-        &self,
-        engine: &(dyn TileEngine + Sync),
-        em: &EnergyModel,
-        kernel: Kernel,
-        threads: usize,
-    ) -> KernelReport {
-        if threads <= 1 {
-            self.run(engine, em, kernel)
-        } else {
-            let cfg = runtime::RuntimeConfig::with_threads(threads);
-            self.run_sharded(&cfg, engine, em, kernel)
-                .expect("production engines never fail a shard intrinsically")
-                .report
-        }
-    }
-
-    /// [`MatrixCtx::run_threaded`] that also exports the pool's scheduler
-    /// statistics (worker count, steals, retries, crashes, degraded-run
-    /// details) into `reg`, so threaded perf collections surface the
-    /// runtime's health next to the kernel counters. At 1 thread the
-    /// serial driver runs and no runtime metrics are touched.
-    pub fn run_threaded_observed(
-        &self,
-        engine: &(dyn TileEngine + Sync),
-        em: &EnergyModel,
-        kernel: Kernel,
-        threads: usize,
-        reg: &mut obs::MetricsRegistry,
-    ) -> KernelReport {
-        if threads <= 1 {
-            return self.run(engine, em, kernel);
-        }
-        let cfg = runtime::RuntimeConfig::with_threads(threads);
-        let run = self
-            .run_sharded(&cfg, engine, em, kernel)
-            .expect("production engines never fail a shard intrinsically");
-        run.stats.export_metrics(reg);
-        if let Some(degraded) = &run.degraded {
-            degraded.export_metrics(reg);
-        }
-        run.report
-    }
+/// Runs `spec` through the resilient parallel runtime under `cfg`,
+/// sharded by [`ShardPlan::contiguous`]; at one thread the pool executes
+/// every shard inline. The merged report is bit-identical to the serial
+/// driver's at any thread count.
+///
+/// # Errors
+///
+/// Returns [`PlannedRunError::Execution`] if a shard failed intrinsically
+/// past the retry budget (only possible with a panicking engine).
+pub fn run_threaded(
+    cfg: &RuntimeConfig,
+    engine: &(dyn TileEngine + Sync),
+    em: &EnergyModel,
+    spec: KernelSpec<'_>,
+) -> Result<ShardedRun, PlannedRunError> {
+    let tasks = spec.tasks();
+    let plan = ShardPlan::contiguous(tasks.len(), cfg.threads);
+    runtime::run_tasks_planned(cfg, &plan, engine, em, spec.kernel(), &tasks)
 }
 
 /// Deterministic sparse vector with the given zero fraction.
@@ -204,7 +159,8 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
-/// Worker count from `--threads N` (default 1 — the serial driver path).
+/// Worker count from `--threads N` (default 1: the pool runs every shard
+/// inline).
 ///
 /// A missing or malformed value keeps the serial default rather than
 /// aborting, matching the loose flag handling of the other shared modes;
@@ -340,7 +296,10 @@ mod tests {
             for kernel in KERNELS {
                 let serial = ctx.run(engine.as_ref(), &em, kernel);
                 for threads in [1, 2, 8] {
-                    let threaded = ctx.run_threaded(engine.as_ref(), &em, kernel, threads);
+                    let cfg = RuntimeConfig::with_threads(threads);
+                    let threaded = run_threaded(&cfg, engine.as_ref(), &em, ctx.spec(kernel))
+                        .expect("production engines never fail a shard")
+                        .report;
                     assert_eq!(
                         threaded.counter_signature(),
                         serial.counter_signature(),

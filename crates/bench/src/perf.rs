@@ -13,6 +13,7 @@
 
 use obs::json::Value;
 use obs::{MetricsRegistry, WallSpan};
+use runtime::{PlannedRunError, RuntimeConfig};
 use simkit::{EnergyModel, Precision};
 use workloads::representative::representative_matrices;
 
@@ -182,8 +183,12 @@ impl std::str::FromStr for BenchDoc {
 }
 
 /// Runs the representative corpus (eight matrices, headline engines, four
-/// kernels) and collects the perf document on the serial driver path.
-pub fn collect(label: &str) -> BenchDoc {
+/// kernels) and collects the perf document at one thread.
+///
+/// # Errors
+///
+/// See [`collect_threaded`].
+pub fn collect(label: &str) -> Result<BenchDoc, PlannedRunError> {
     collect_threaded(label, 1)
 }
 
@@ -192,7 +197,12 @@ pub fn collect(label: &str) -> BenchDoc {
 /// thread count (the regression gate depends on this); only the wall-clock
 /// numbers move. The metrics export records the worker count and total
 /// collection wall time under `runtime/`.
-pub fn collect_threaded(label: &str, threads: usize) -> BenchDoc {
+///
+/// # Errors
+///
+/// Returns the first kernel run whose shard failed intrinsically past the
+/// retry budget (only possible with a panicking engine).
+pub fn collect_threaded(label: &str, threads: usize) -> Result<BenchDoc, PlannedRunError> {
     let backend = sparse::kernels::active_kind();
     let em = EnergyModel::default();
     let mut reg = MetricsRegistry::new();
@@ -208,6 +218,7 @@ pub fn collect_threaded(label: &str, threads: usize) -> BenchDoc {
     contexts.extend(stencil);
     reg.set_gauge("corpus/matrices", contexts.len() as f64);
     reg.set_gauge("runtime/threads", threads.max(1) as f64);
+    let cfg = RuntimeConfig::with_threads(threads);
     let total_span = WallSpan::start();
 
     let mut entries = Vec::new();
@@ -215,9 +226,16 @@ pub fn collect_threaded(label: &str, threads: usize) -> BenchDoc {
         for engine in headline_engines(Precision::Fp64) {
             for kernel in KERNELS {
                 let span = WallSpan::start();
-                let rep =
-                    ctx.run_threaded_observed(engine.as_ref(), &em, kernel, threads, &mut reg);
+                let run = crate::run_threaded(&cfg, engine.as_ref(), &em, ctx.spec(kernel))?;
                 let wall = span.elapsed();
+                // Only a multi-worker pool has scheduler health to report.
+                if run.stats.workers > 0 {
+                    run.stats.export_metrics(&mut reg);
+                }
+                if let Some(degraded) = &run.degraded {
+                    degraded.export_metrics(&mut reg);
+                }
+                let rep = run.report;
                 reg.record_span(&format!("kernel/{kernel}"), wall);
                 reg.inc_counter("driver/t1_tasks", rep.t1_tasks);
                 reg.inc_counter("driver/useful_macs", rep.useful);
@@ -240,12 +258,12 @@ pub fn collect_threaded(label: &str, threads: usize) -> BenchDoc {
         }
     }
     reg.set_gauge("runtime/total_wall_ms", total_span.elapsed().as_secs_f64() * 1e3);
-    BenchDoc {
+    Ok(BenchDoc {
         label: label.to_owned(),
         backend: backend.name().to_owned(),
         entries,
         metrics: reg.to_json(),
-    }
+    })
 }
 
 /// One flagged cycle regression from [`compare`].
@@ -387,7 +405,7 @@ mod tests {
     #[test]
     fn collect_records_active_backend() {
         use sparse::kernels::{with_backend, BackendKind};
-        let d = with_backend(BackendKind::Scalar, || collect("backend-probe"));
+        let d = with_backend(BackendKind::Scalar, || collect("backend-probe").expect("collects"));
         assert_eq!(d.backend, "scalar");
     }
 
@@ -440,8 +458,8 @@ mod tests {
 
     #[test]
     fn threaded_collection_matches_serial_signatures() {
-        let serial = collect("serial");
-        let threaded = collect_threaded("threaded", 2);
+        let serial = collect("serial").expect("collects");
+        let threaded = collect_threaded("threaded", 2).expect("collects");
         assert_eq!(serial.entries.len(), threaded.entries.len());
         for (a, b) in serial.entries.iter().zip(&threaded.entries) {
             assert_eq!(a.key(), b.key());
@@ -449,7 +467,7 @@ mod tests {
             assert_eq!(a.cycles, b.cycles, "{}", a.key());
         }
         // The pool's health surfaces in the threaded document's metrics
-        // export (and only there: the serial path never touches the pool).
+        // export (and only there: a one-thread run has no pool workers).
         let gauges = threaded.metrics.get("gauges").expect("gauges in metrics export");
         assert_eq!(gauges.get("runtime/pool_workers").and_then(Value::as_f64), Some(2.0));
         let counters = threaded.metrics.get("counters").expect("counters in metrics export");
@@ -460,8 +478,8 @@ mod tests {
 
     #[test]
     fn collect_is_cycle_deterministic() {
-        let a = collect("a");
-        let b = collect("b");
+        let a = collect("a").expect("collects");
+        let b = collect("b").expect("collects");
         assert!(!a.entries.is_empty());
         assert_eq!(a.entries.len(), b.entries.len());
         for (ea, eb) in a.entries.iter().zip(&b.entries) {

@@ -1,5 +1,10 @@
 //! Sharded kernel execution with bit-identical report merging.
 //!
+//! [`run_tasks_planned`] is the runtime's one execution entry point: a
+//! task stream (`simkit::driver::KernelSpec::tasks`) plus a
+//! [`ShardPlan`] over it. A serial run is the same call at one thread,
+//! where the pool executes every shard inline.
+//!
 //! Every quantity in a [`KernelReport`] is an order-independent
 //! aggregate: `cycles`, `useful` and `t1_tasks` are sums over tasks,
 //! [`EventCounts`](simkit::EventCounts) adds field-wise,
@@ -13,8 +18,7 @@
 //!
 //! The shards execute on the [`pool`](crate::pool), so they inherit its
 //! resilience: a shard whose execution panics is retried and, past the
-//! budget, surfaces as
-//! [`DegradedError::RetriesExhausted`](uni_stc::multi::DegradedError);
+//! budget, surfaces as [`DegradedError::RetriesExhausted`];
 //! injected chaos can never change the merged counters, only how long the
 //! run takes.
 //!
@@ -26,8 +30,6 @@
 
 use simkit::driver::{self, Kernel, KernelReport};
 use simkit::{EnergyModel, T1Task, TileEngine};
-use sparse::{BbcMatrix, SparseVector};
-use uni_stc::multi::DegradedError;
 
 use crate::pool::{self, RuntimeConfig, TaskOutcome};
 
@@ -64,6 +66,34 @@ pub fn fold_report(acc: &mut KernelReport, next: &KernelReport) {
     acc.util.merge(&next.util);
     acc.events += next.events;
 }
+
+/// A legal plan could not finish executing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DegradedError {
+    /// A task kept failing intrinsically (panicking or returning an error
+    /// on every attempt) until its bounded retry budget ran out.
+    /// Infrastructure faults (worker crashes, stalls, injected flakes) are
+    /// drained onto the supervisor instead, so this always points at the
+    /// task itself.
+    RetriesExhausted {
+        /// Index of the failing task within the sharded stream.
+        task: u64,
+        /// Attempts made before giving up (initial try + retries).
+        attempts: u32,
+    },
+}
+
+impl std::fmt::Display for DegradedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DegradedError::RetriesExhausted { task, attempts } => {
+                write!(f, "task {task} failed on all {attempts} attempts; retry budget exhausted")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DegradedError {}
 
 /// Why a [`ShardPlan`] is illegal to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +170,8 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// The plan [`run_tasks_sharded`] uses: contiguous chunks of
-    /// [`shard_len`] tasks, targeting ~4 shards per worker.
+    /// The default plan: contiguous chunks of [`shard_len`] tasks,
+    /// targeting ~4 shards per worker. Legal by construction.
     pub fn contiguous(tasks: usize, threads: usize) -> Self {
         let chunk = shard_len(tasks, threads);
         let mut shards = Vec::new();
@@ -235,36 +265,22 @@ impl std::fmt::Display for PlannedRunError {
 
 impl std::error::Error for PlannedRunError {}
 
-/// Runs a materialised task stream sharded across the pool and merges a
-/// report bit-identical to `driver::run_tasks` over the same stream.
+/// Runs a materialised task stream across the pool, one pool task per
+/// shard of `plan`, and merges a report bit-identical to
+/// `driver::run_tasks` over the same stream: shard reports fold in shard
+/// order and energy is recomputed once from the merged events.
 ///
-/// # Errors
-///
-/// Returns [`DegradedError::RetriesExhausted`] if any shard kept failing
-/// intrinsically (the engine panicked on it) beyond the retry budget; the
-/// error names the first failed shard and its attempt count.
-pub fn run_tasks_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    kernel: Kernel,
-    tasks: Vec<T1Task>,
-) -> Result<ShardedRun, DegradedError> {
-    let plan = ShardPlan::contiguous(tasks.len(), cfg.threads);
-    debug_assert!(plan.verify_before_run().is_ok(), "contiguous plans are legal");
-    run_planned_unchecked(cfg, &plan, engine, energy_model, kernel, &tasks)
-}
-
-/// [`run_tasks_sharded`] with a caller-supplied [`ShardPlan`]. The plan
-/// is verified *before any worker is spawned*: an illegal plan (overlap,
-/// gap, empty or out-of-range shard) is rejected with
-/// [`PlannedRunError::Rejected`] and zero tasks execute.
+/// The plan is verified *before any worker is spawned*: an illegal plan
+/// (overlap, gap, empty or out-of-range shard, or a plan for a stream of
+/// another length) is rejected with [`PlannedRunError::Rejected`] and
+/// zero tasks execute.
 ///
 /// # Errors
 ///
 /// [`PlannedRunError::Rejected`] when the plan fails
 /// [`ShardPlan::verify_before_run`]; [`PlannedRunError::Execution`] when
-/// a shard failed intrinsically past the retry budget.
+/// a shard failed intrinsically (the engine panicked on it) past the
+/// retry budget, naming the first failed shard and its attempt count.
 pub fn run_tasks_planned(
     cfg: &RuntimeConfig,
     plan: &ShardPlan,
@@ -287,22 +303,7 @@ pub fn run_tasks_planned(
         };
     }
     plan.verify_before_run().map_err(PlannedRunError::Rejected)?;
-    run_planned_unchecked(cfg, plan, engine, energy_model, kernel, tasks)
-        .map_err(PlannedRunError::Execution)
-}
-
-/// Executes an already-verified plan: one pool task per shard, fold in
-/// shard order, energy recomputed once from the merged events.
-fn run_planned_unchecked(
-    cfg: &RuntimeConfig,
-    plan: &ShardPlan,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    kernel: Kernel,
-    tasks: &[T1Task],
-) -> Result<ShardedRun, DegradedError> {
-    let shards: Vec<&[T1Task]> =
-        plan.shards().iter().map(|r| &tasks[r.start.min(tasks.len())..r.end.min(tasks.len())]).collect();
+    let shards: Vec<&[T1Task]> = plan.shards().iter().map(|r| &tasks[r.clone()]).collect();
     let run = pool::run(cfg, &shards, |_, shard: &&[T1Task]| {
         Ok(driver::run_tasks(engine, energy_model, kernel, shard.iter().copied()))
     });
@@ -314,10 +315,10 @@ fn run_planned_unchecked(
         match outcome {
             TaskOutcome::Done(shard_report) => fold_report(&mut report, shard_report),
             TaskOutcome::Failed { attempts, .. } => {
-                return Err(DegradedError::RetriesExhausted {
+                return Err(PlannedRunError::Execution(DegradedError::RetriesExhausted {
                     task: index as u64,
                     attempts: *attempts,
-                })
+                }))
             }
         }
     }
@@ -330,74 +331,12 @@ fn run_planned_unchecked(
     })
 }
 
-/// Sharded SpMV — same task stream as [`driver::run_spmv`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-pub fn run_spmv_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-) -> Result<ShardedRun, DegradedError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMV, driver::spmv_tasks(a))
-}
-
-/// Sharded SpMSpV — same task stream as [`driver::run_spmspv`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-pub fn run_spmspv_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    x: &SparseVector,
-) -> Result<ShardedRun, DegradedError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMSpV, driver::spmspv_tasks(a, x))
-}
-
-/// Sharded SpMM — same task stream as [`driver::run_spmm`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-pub fn run_spmm_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    n_cols: usize,
-) -> Result<ShardedRun, DegradedError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMM, driver::spmm_tasks(a, n_cols))
-}
-
-/// Sharded SpGEMM — same task stream as [`driver::run_spgemm`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-///
-/// # Panics
-///
-/// Panics if the block grids do not conform, exactly as
-/// [`driver::spgemm_tasks`] does.
-pub fn run_spgemm_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    b: &BbcMatrix,
-) -> Result<ShardedRun, DegradedError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpGEMM, driver::spgemm_tasks(a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::driver::KernelSpec;
     use simkit::{NetworkCosts, T1Result};
+    use sparse::{BbcMatrix, SparseVector};
 
     /// The reference engine from the driver tests: perfect packing.
     struct Ideal;
@@ -429,6 +368,17 @@ mod tests {
         BbcMatrix::from_csr(&workloads::gen::random_uniform(96, 0.08, seed))
     }
 
+    /// Compiles `spec` and runs it under the default contiguous plan.
+    fn run_spec(
+        cfg: &RuntimeConfig,
+        engine: &(dyn TileEngine + Sync),
+        spec: KernelSpec<'_>,
+    ) -> Result<ShardedRun, PlannedRunError> {
+        let tasks = spec.tasks();
+        let plan = ShardPlan::contiguous(tasks.len(), cfg.threads);
+        run_tasks_planned(cfg, &plan, engine, &EnergyModel::default(), spec.kernel(), &tasks)
+    }
+
     fn demo_vector(dim: usize, density: f64, seed: u64) -> SparseVector {
         let mut rng = sparse::rng::Rng64::new(seed);
         let mut idx = Vec::new();
@@ -449,7 +399,7 @@ mod tests {
         let serial = driver::run_spmv(&Ideal, &em, &a);
         for threads in [1, 2, 8] {
             let cfg = RuntimeConfig::with_threads(threads);
-            let sharded = run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("no failures");
+            let sharded = run_spec(&cfg, &Ideal, KernelSpec::SpMV { a: &a }).expect("no failures");
             assert_eq!(
                 sharded.report.counter_signature(),
                 serial.counter_signature(),
@@ -471,7 +421,7 @@ mod tests {
         for &kind in BackendKind::ALL {
             let sharded = with_backend(kind, || {
                 let cfg = RuntimeConfig::with_threads(4);
-                run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("no failures")
+                run_spec(&cfg, &Ideal, KernelSpec::SpMV { a: &a }).expect("no failures")
             });
             assert_eq!(
                 sharded.report.counter_signature(),
@@ -489,35 +439,17 @@ mod tests {
         let x = demo_vector(96, 0.25, 9);
         let em = EnergyModel::default();
         let cfg = RuntimeConfig::with_threads(4);
-        let pairs = [
-            (
-                driver::run_spmv(&Ideal, &em, &a).counter_signature(),
-                run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("spmv").report.counter_signature(),
-            ),
-            (
-                driver::run_spmspv(&Ideal, &em, &a, &x).counter_signature(),
-                run_spmspv_sharded(&cfg, &Ideal, &em, &a, &x)
-                    .expect("spmspv")
-                    .report
-                    .counter_signature(),
-            ),
-            (
-                driver::run_spmm(&Ideal, &em, &a, 40).counter_signature(),
-                run_spmm_sharded(&cfg, &Ideal, &em, &a, 40)
-                    .expect("spmm")
-                    .report
-                    .counter_signature(),
-            ),
-            (
-                driver::run_spgemm(&Ideal, &em, &a, &b).counter_signature(),
-                run_spgemm_sharded(&cfg, &Ideal, &em, &a, &b)
-                    .expect("spgemm")
-                    .report
-                    .counter_signature(),
-            ),
+        let specs = [
+            KernelSpec::SpMV { a: &a },
+            KernelSpec::SpMSpV { a: &a, x: &x },
+            KernelSpec::SpMM { a: &a, n_cols: 40 },
+            KernelSpec::SpGEMM { a: &a, b: &b },
         ];
-        for (serial, sharded) in pairs {
-            assert_eq!(serial, sharded);
+        for spec in specs {
+            let serial = driver::run_tasks(&Ideal, &em, spec.kernel(), spec.tasks());
+            let sharded = run_spec(&cfg, &Ideal, spec).expect("no failures");
+            assert_eq!(sharded.report.counter_signature(), serial.counter_signature());
+            assert_eq!(sharded.report, serial, "{}", spec.kernel());
         }
     }
 
@@ -525,8 +457,9 @@ mod tests {
     fn empty_stream_matches_serial() {
         let em = EnergyModel::default();
         let cfg = RuntimeConfig::with_threads(2);
+        let plan = ShardPlan::contiguous(0, cfg.threads);
         let sharded =
-            run_tasks_sharded(&cfg, &Ideal, &em, Kernel::SpMM, Vec::new()).expect("empty");
+            run_tasks_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMM, &[]).expect("empty");
         let serial = driver::run_tasks(&Ideal, &em, Kernel::SpMM, std::iter::empty());
         assert_eq!(sharded.report, serial);
         assert_eq!(sharded.report.t1_tasks, 0);
@@ -542,7 +475,8 @@ mod tests {
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2).with_chaos(chaos)
         };
-        let sharded = run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("chaos is survivable");
+        let sharded =
+            run_spec(&cfg, &Ideal, KernelSpec::SpMV { a: &a }).expect("chaos is survivable");
         assert_eq!(sharded.report, serial);
     }
 
@@ -564,18 +498,28 @@ mod tests {
             }
         }
         let a = demo_matrix(5);
-        let em = EnergyModel::default();
         let cfg = RuntimeConfig {
             max_retries: 1,
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2)
         };
-        match run_spmv_sharded(&cfg, &Grenade, &em, &a) {
-            Err(DegradedError::RetriesExhausted { attempts, .. }) => {
+        match run_spec(&cfg, &Grenade, KernelSpec::SpMV { a: &a }) {
+            Err(PlannedRunError::Execution(DegradedError::RetriesExhausted {
+                attempts, ..
+            })) => {
                 assert_eq!(attempts, 2, "first try + one retry");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn degraded_error_implements_error_and_display() {
+        let err = DegradedError::RetriesExhausted { task: 17, attempts: 3 };
+        let dyn_err: &dyn std::error::Error = &err;
+        let msg = dyn_err.to_string();
+        assert!(msg.contains("task 17"), "{msg}");
+        assert!(msg.contains("3 attempts"), "{msg}");
     }
 
     #[test]

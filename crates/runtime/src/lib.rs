@@ -19,11 +19,13 @@
 //!   `simkit::fault::FaultPlan`) that deterministically injects worker
 //!   crashes, stalls and transient task failures, so the resilience
 //!   paths above are exercised by fixed-seed tests rather than trusted.
-//! * [`kernels`] — sharded kernel execution: task streams split into
-//!   shards, each shard run through the untouched serial driver, and the
-//!   shard reports folded into a [`simkit::driver::KernelReport`] that is
-//!   bit-identical to the serial one (every counter is an
-//!   order-independent sum; energy is recomputed from the merged events).
+//! * [`kernels`] — sharded kernel execution through one entry point,
+//!   [`run_tasks_planned`]: a task stream split by a verified
+//!   [`ShardPlan`], each shard run through the untouched serial driver,
+//!   and the shard reports folded into a
+//!   [`simkit::driver::KernelReport`] that is bit-identical to the serial
+//!   one (every counter is an order-independent sum; energy is
+//!   recomputed from the merged events).
 //!
 //! Scheduler lifecycle (worker spawn / steal / retry / crash / degrade)
 //! is recorded as [`obs::TraceEvent`]s and can be replayed into any
@@ -57,9 +59,8 @@ pub mod pool;
 
 pub use chaos::{ChaosPlan, InvalidChaosRate};
 pub use kernels::{
-    fold_report, run_spgemm_sharded, run_spmm_sharded, run_spmspv_sharded, run_spmv_sharded,
-    run_tasks_planned, run_tasks_sharded, shard_len, PlannedRunError, ShardPlan, ShardPlanError,
-    ShardedRun,
+    fold_report, run_tasks_planned, shard_len, DegradedError, PlannedRunError, ShardPlan,
+    ShardPlanError, ShardedRun,
 };
 pub use pool::{
     run, Backoff, DegradedReport, RunReport, RunStats, RuntimeConfig, TaskError, TaskOutcome,

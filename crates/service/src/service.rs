@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use analysis::UstcVerifier;
 use obs::MetricsRegistry;
 use runtime::{run_tasks_planned, PlannedRunError, RuntimeConfig, ShardPlan, ShardPlanError};
-use simkit::driver::{self, Kernel, StreamVerifier, VerifyError};
+use simkit::driver::{KernelSpec, VerifyError};
 use simkit::{EnergyModel, Precision, T1Task, TileEngine};
 use sparse::{BbcMatrix, SparseVector};
 use uni_stc::{UniStc, UniStcConfig};
@@ -99,16 +99,32 @@ enum StreamKey {
     Spgemm { a: Fingerprint, b: Fingerprint },
 }
 
+/// The resolved operands of one request, owned so a job can outlive the
+/// request it came from.
+enum Operands {
+    SpMV { a: Arc<BbcMatrix> },
+    SpMSpV { a: Arc<BbcMatrix>, x: Arc<SparseVector> },
+    SpMM { a: Arc<BbcMatrix>, n_cols: usize },
+    SpGEMM { a: Arc<BbcMatrix>, b: Arc<BbcMatrix> },
+}
+
+impl Operands {
+    fn spec(&self) -> KernelSpec<'_> {
+        match self {
+            Operands::SpMV { a } => KernelSpec::SpMV { a },
+            Operands::SpMSpV { a, x } => KernelSpec::SpMSpV { a, x },
+            Operands::SpMM { a, n_cols } => KernelSpec::SpMM { a, n_cols: *n_cols },
+            Operands::SpGEMM { a, b } => KernelSpec::SpGEMM { a, b },
+        }
+    }
+}
+
 /// An admitted job, ready to batch: resolved operands plus its stream key.
 struct Prepared {
     engine: String,
     key: StreamKey,
-    kernel: Kernel,
     encoding_cached: bool,
-    a: Arc<BbcMatrix>,
-    x: Option<Arc<SparseVector>>,
-    b: Option<Arc<BbcMatrix>>,
-    n_cols: usize,
+    operands: Operands,
 }
 
 type JobResult = Result<JobResponse, JobError>;
@@ -379,14 +395,15 @@ fn run_batch(
             }
             continue;
         };
-        let (first, _) = &members[0];
-        let (tasks, stream_cached) = shared.streams.get_or_insert_with(&key, || compile(first));
+        let spec = members[0].0.operands.spec();
+        let kernel = spec.kernel();
+        let (tasks, stream_cached) = shared.streams.get_or_insert_with(&key, || spec.tasks());
         let plan = ShardPlan::contiguous(tasks.len(), cfg.exec.threads);
         let batch_size = members.len();
         shared
             .metrics()
             .observe("service/batch_size", &[1, 2, 4, 8, 16, 32], batch_size as u64);
-        match run_tasks_planned(&cfg.exec, &plan, engine.as_ref(), em, first.kernel, &tasks) {
+        match run_tasks_planned(&cfg.exec, &plan, engine.as_ref(), em, kernel, &tasks) {
             Ok(run) => {
                 let degraded = run.degraded.is_some();
                 {
@@ -401,7 +418,7 @@ fn run_batch(
                 for (p, job) in members {
                     let latency = job.submitted.elapsed().as_micros().min(u128::from(u64::MAX));
                     shared.metrics().observe(
-                        &format!("service/latency_us/{}", p.kernel),
+                        &format!("service/latency_us/{kernel}"),
                         LATENCY_BOUNDS_US,
                         latency as u64,
                     );
@@ -465,15 +482,17 @@ fn reject(e: VerifyError) -> JobError {
 /// Runs admission control through the verdict memo: on the first
 /// sighting of `key` the verifier walks the operands and the verdict —
 /// accept or reject — is recorded; every repeat replays it without
-/// re-verification. No-op when admission is off.
+/// re-verification. With admission off only [`KernelSpec::conforms`]
+/// runs: the task compiler cannot represent a non-conforming SpGEMM
+/// grid, so that `USTC012` gate always holds.
 fn admit(
     verifier: Option<&UstcVerifier>,
     shared: &Shared,
     key: &StreamKey,
-    verify: impl FnOnce(&UstcVerifier) -> Result<(), VerifyError>,
+    spec: KernelSpec<'_>,
 ) -> Result<(), JobError> {
-    let Some(v) = verifier else { return Ok(()) };
-    let (verdict, _) = shared.verdicts.get_or_insert_with(key, || verify(v));
+    let Some(v) = verifier else { return spec.conforms().map_err(reject) };
+    let (verdict, _) = shared.verdicts.get_or_insert_with(key, || spec.verify(v));
     match verdict.as_ref() {
         Ok(()) => Ok(()),
         Err(e) => Err(reject(e.clone())),
@@ -491,95 +510,27 @@ fn prepare(
     if !engines.contains_key(&engine) {
         return Err(JobError::UnknownEngine { name: engine });
     }
-    match &req.kernel {
+    let (key, encoding_cached, operands) = match &req.kernel {
         KernelRequest::SpMV { a } => {
-            let (a_bbc, fp_a, hit) = resolve(a, shared);
-            let key = StreamKey::Spmv { a: fp_a };
-            admit(verifier, shared, &key, |v| v.verify_spmv(&a_bbc))?;
-            Ok(Prepared {
-                engine,
-                key,
-                kernel: Kernel::SpMV,
-                encoding_cached: hit,
-                a: a_bbc,
-                x: None,
-                b: None,
-                n_cols: 0,
-            })
+            let (a, fp_a, hit) = resolve(a, shared);
+            (StreamKey::Spmv { a: fp_a }, hit, Operands::SpMV { a })
         }
         KernelRequest::SpMSpV { a, x } => {
-            let (a_bbc, fp_a, hit) = resolve(a, shared);
+            let (a, fp_a, hit) = resolve(a, shared);
             let key = StreamKey::Spmspv { a: fp_a, x: fingerprint_vector(x) };
-            admit(verifier, shared, &key, |v| v.verify_spmspv(&a_bbc, x))?;
-            Ok(Prepared {
-                engine,
-                key,
-                kernel: Kernel::SpMSpV,
-                encoding_cached: hit,
-                a: a_bbc,
-                x: Some(Arc::clone(x)),
-                b: None,
-                n_cols: 0,
-            })
+            (key, hit, Operands::SpMSpV { a, x: Arc::clone(x) })
         }
         KernelRequest::SpMM { a, n_cols } => {
-            let (a_bbc, fp_a, hit) = resolve(a, shared);
+            let (a, fp_a, hit) = resolve(a, shared);
             let key = StreamKey::Spmm { a: fp_a, n_cols: *n_cols };
-            admit(verifier, shared, &key, |v| v.verify_spmm(&a_bbc, *n_cols))?;
-            Ok(Prepared {
-                engine,
-                key,
-                kernel: Kernel::SpMM,
-                encoding_cached: hit,
-                a: a_bbc,
-                x: None,
-                b: None,
-                n_cols: *n_cols,
-            })
+            (key, hit, Operands::SpMM { a, n_cols: *n_cols })
         }
         KernelRequest::SpGEMM { a, b } => {
-            let (a_bbc, fp_a, hit_a) = resolve(a, shared);
-            let (b_bbc, fp_b, hit_b) = resolve(b, shared);
-            let key = StreamKey::Spgemm { a: fp_a, b: fp_b };
-            admit(verifier, shared, &key, |v| v.verify_spgemm(&a_bbc, &b_bbc))?;
-            // The task compiler cannot represent a non-conforming grid
-            // (it would panic), so this gate holds even with admission
-            // off — the same `USTC012` the verified driver reports.
-            if a_bbc.block_cols() != b_bbc.block_rows() {
-                return Err(JobError::Rejected {
-                    code: "USTC012".to_owned(),
-                    message: format!(
-                        "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
-                        a_bbc.block_rows(),
-                        a_bbc.block_cols(),
-                        b_bbc.block_rows(),
-                        b_bbc.block_cols()
-                    ),
-                });
-            }
-            Ok(Prepared {
-                engine,
-                key,
-                kernel: Kernel::SpGEMM,
-                encoding_cached: hit_a && hit_b,
-                a: a_bbc,
-                x: None,
-                b: Some(b_bbc),
-                n_cols: 0,
-            })
+            let (a, fp_a, hit_a) = resolve(a, shared);
+            let (b, fp_b, hit_b) = resolve(b, shared);
+            (StreamKey::Spgemm { a: fp_a, b: fp_b }, hit_a && hit_b, Operands::SpGEMM { a, b })
         }
-    }
-}
-
-/// Compiles the task stream for an admitted job — exactly the stream the
-/// serial driver would run, so caching it preserves bit-identity.
-fn compile(p: &Prepared) -> Vec<T1Task> {
-    match (&p.kernel, &p.x, &p.b) {
-        (Kernel::SpMV, _, _) => driver::spmv_tasks(&p.a),
-        (Kernel::SpMSpV, Some(x), _) => driver::spmspv_tasks(&p.a, x),
-        (Kernel::SpMSpV, None, _) => Vec::new(),
-        (Kernel::SpMM, _, _) => driver::spmm_tasks(&p.a, p.n_cols),
-        (Kernel::SpGEMM, _, Some(b)) => driver::spgemm_tasks(&p.a, b),
-        (Kernel::SpGEMM, _, None) => Vec::new(),
-    }
+    };
+    admit(verifier, shared, &key, operands.spec())?;
+    Ok(Prepared { engine, key, encoding_cached, operands })
 }

@@ -43,7 +43,8 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// A static checker the [`Driver`] can consult before simulating a stream.
+/// A static checker [`KernelSpec::verify`] consults before a stream is
+/// simulated.
 ///
 /// Implementations prove stream legality without executing anything; the
 /// `analysis` crate provides the canonical implementation
@@ -60,17 +61,18 @@ pub trait StreamVerifier {
     fn verify_spgemm(&self, a: &BbcMatrix, b: &BbcMatrix) -> Result<(), VerifyError>;
 }
 
-/// A kernel driver with an optional verify-before-run gate.
+/// One kernel invocation: the kernel plus its borrowed operands.
 ///
-/// Without a verifier, the methods delegate to the free `run_*` functions.
-/// With one ([`Driver::verify_before_run`]), every invocation is statically
-/// checked first and illegal streams are rejected with their first `USTC`
-/// error code instead of being simulated.
+/// This is the single description every execution path starts from. The
+/// task stream ([`KernelSpec::tasks`]) and the static gate
+/// ([`KernelSpec::verify`]) are defined once here; serial runs feed the
+/// stream to [`run_tasks`] / [`run_tasks_traced`], sharded runs hand the
+/// same stream to the runtime.
 ///
 /// # Example
 ///
 /// ```
-/// use simkit::driver::Driver;
+/// use simkit::driver::{run_tasks, KernelSpec};
 /// use simkit::{EnergyModel, NetworkCosts, T1Result, T1Task, TileEngine};
 /// use sparse::{BbcMatrix, CooMatrix, CsrMatrix};
 ///
@@ -90,125 +92,150 @@ pub trait StreamVerifier {
 /// let mut coo = CooMatrix::new(32, 32);
 /// coo.push(0, 0, 1.0);
 /// let a = BbcMatrix::from_csr(&CsrMatrix::try_from(coo)?);
-/// let engine = Ideal;
-/// let energy = EnergyModel::default();
-/// let driver = Driver::new(&engine, &energy);
-/// let report = driver.spmv(&a).expect("no verifier installed: always Ok");
+/// let spec = KernelSpec::SpMV { a: &a };
+/// let report = run_tasks(&Ideal, &EnergyModel::default(), spec.kernel(), spec.tasks());
 /// assert_eq!(report.t1_tasks, 1);
 /// # Ok(())
 /// # }
 /// ```
-pub struct Driver<'a> {
-    engine: &'a dyn TileEngine,
-    energy: &'a EnergyModel,
-    verifier: Option<&'a dyn StreamVerifier>,
+#[derive(Debug, Clone, Copy)]
+pub enum KernelSpec<'a> {
+    /// `y = A x`, dense `x`.
+    SpMV {
+        /// The sparse matrix.
+        a: &'a BbcMatrix,
+    },
+    /// `y = A x`, sparse `x`.
+    SpMSpV {
+        /// The sparse matrix.
+        a: &'a BbcMatrix,
+        /// The sparse input vector.
+        x: &'a SparseVector,
+    },
+    /// `C = A B`, dense `B` with `n_cols` columns.
+    SpMM {
+        /// The sparse matrix.
+        a: &'a BbcMatrix,
+        /// Columns of the dense `B`.
+        n_cols: usize,
+    },
+    /// `C = A B`, both sparse.
+    SpGEMM {
+        /// The left operand.
+        a: &'a BbcMatrix,
+        /// The right operand.
+        b: &'a BbcMatrix,
+    },
 }
 
-impl<'a> Driver<'a> {
-    /// A driver with no verification gate.
-    pub fn new(engine: &'a dyn TileEngine, energy: &'a EnergyModel) -> Self {
-        Driver { engine, energy, verifier: None }
-    }
-
-    /// Installs a static verifier: every subsequent kernel call is checked
-    /// before it is simulated.
-    pub fn verify_before_run(mut self, verifier: &'a dyn StreamVerifier) -> Self {
-        self.verifier = Some(verifier);
-        self
-    }
-
-    /// SpMV with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    pub fn spmv(&self, a: &BbcMatrix) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spmv(a)?;
+impl KernelSpec<'_> {
+    /// Which kernel this invocation runs.
+    pub fn kernel(&self) -> Kernel {
+        match self {
+            KernelSpec::SpMV { .. } => Kernel::SpMV,
+            KernelSpec::SpMSpV { .. } => Kernel::SpMSpV,
+            KernelSpec::SpMM { .. } => Kernel::SpMM,
+            KernelSpec::SpGEMM { .. } => Kernel::SpGEMM,
         }
-        Ok(run_spmv(self.engine, self.energy, a))
     }
 
-    /// SpMSpV with the optional static gate.
+    /// The invocation's T1 task stream, in the order the engines consume
+    /// it (the order a sharded run merges in):
     ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    pub fn spmspv(&self, a: &BbcMatrix, x: &SparseVector) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spmspv(a, x)?;
-        }
-        Ok(run_spmspv(self.engine, self.energy, a, x))
-    }
-
-    /// SpMM with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    pub fn spmm(&self, a: &BbcMatrix, n_cols: usize) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spmm(a, n_cols)?;
-        }
-        Ok(run_spmm(self.engine, self.energy, a, n_cols))
-    }
-
-    /// SpGEMM with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
+    /// * SpMV — one MV task per stored 16x16 block of `A`.
+    /// * SpMSpV — one MV task per stored block whose 16-element
+    ///   x-segment holds at least one nonzero.
+    /// * SpMM — `ceil(n_cols / 16)` MM tasks per stored block of `A`,
+    ///   each against a dense B block. Empty when `n_cols == 0`: the
+    ///   product has zero columns, matching the numeric dataflow.
+    /// * SpGEMM — the block-level outer-product walk of Algorithm 2: for
+    ///   every stored `A(i, k)` and every stored `B(k, j)`, one MM task
+    ///   (the top-level bitmap product check drops trivial pairs later).
     ///
     /// # Panics
     ///
-    /// Panics if the block grids do not conform and no verifier is
-    /// installed (with one, non-conforming grids are a verifier rejection).
-    pub fn spgemm(&self, a: &BbcMatrix, b: &BbcMatrix) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spgemm(a, b)?;
-            if a.block_cols() != b.block_rows() {
-                return Err(VerifyError {
-                    code: "USTC012".to_owned(),
-                    message: format!(
-                        "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
-                        a.block_rows(),
-                        a.block_cols(),
-                        b.block_rows(),
-                        b.block_cols()
-                    ),
-                });
+    /// Panics if an SpGEMM's block grids do not conform (`a.block_cols()
+    /// != b.block_rows()`); [`KernelSpec::verify`] and
+    /// [`KernelSpec::conforms`] reject such a spec first.
+    pub fn tasks(&self) -> Vec<T1Task> {
+        match *self {
+            KernelSpec::SpMV { a } => {
+                a.blocks().map(|blk| T1Task::mv(Block16::from_bbc(&blk), u16::MAX)).collect()
+            }
+            KernelSpec::SpMSpV { a, x } => a
+                .blocks()
+                .filter_map(|blk| {
+                    let mask = x.segment_mask16(blk.block_col);
+                    (mask != 0).then(|| T1Task::mv(Block16::from_bbc(&blk), mask))
+                })
+                .collect(),
+            KernelSpec::SpMM { a, n_cols } => {
+                let col_blocks = n_cols.div_ceil(16);
+                a.blocks()
+                    .flat_map(move |blk| {
+                        let a_bits = Block16::from_bbc(&blk);
+                        (0..col_blocks).map(move |cb| {
+                            let width = (n_cols - cb * 16).min(16);
+                            T1Task::mm(a_bits, Block16::dense().keep_cols(width))
+                        })
+                    })
+                    .collect()
+            }
+            KernelSpec::SpGEMM { a, b } => {
+                assert_eq!(a.block_cols(), b.block_rows(), "SpGEMM block grids do not conform");
+                (0..a.block_rows())
+                    .flat_map(move |bi| {
+                        a.blocks_in_row(bi).flat_map(move |ai| {
+                            let a_blk = a.block(ai);
+                            let a_bits = Block16::from_bbc(&a_blk);
+                            b.blocks_in_row(a_blk.block_col)
+                                .map(move |bj| T1Task::mm(a_bits, Block16::from_bbc(&b.block(bj))))
+                        })
+                    })
+                    .collect()
             }
         }
-        Ok(run_spgemm(self.engine, self.energy, a, b))
     }
 
-    /// SpMV under a fault plan, with the static gate applied to the
-    /// *corrupted* matrix: a verifier turns silent metadata corruption into
-    /// an up-front `USTC012` rejection, before any cycle is simulated.
-    /// Without a verifier this is exactly [`run_spmv_faulted`].
+    /// The shape check [`KernelSpec::tasks`] relies on: an SpGEMM whose
+    /// block grids do not conform is rejected with `USTC012`; every other
+    /// spec conforms.
     ///
     /// # Errors
     ///
-    /// Returns the verifier's rejection of the corrupted stream (the
-    /// caller decides whether to re-read from protected storage and retry).
-    pub fn spmv_faulted(
-        &self,
-        a: &BbcMatrix,
-        plan: &crate::fault::FaultPlan,
-    ) -> Result<KernelReport, VerifyError> {
-        let Some(v) = self.verifier else {
-            return Ok(run_spmv_faulted(self.engine, self.energy, a, plan));
-        };
-        let (corrupted, outcome) = plan.inject_into(a);
-        v.verify_spmv(&corrupted)?;
-        let mut rep = run_spmv(self.engine, self.energy, &corrupted);
-        rep.events.faults_injected = outcome.log.injected();
-        rep.events.faults_detected = outcome.detected;
-        Ok(rep)
+    /// Returns the `USTC012` rejection for non-conforming SpGEMM grids.
+    pub fn conforms(&self) -> Result<(), VerifyError> {
+        match *self {
+            KernelSpec::SpGEMM { a, b } if a.block_cols() != b.block_rows() => Err(VerifyError {
+                code: "USTC012".to_owned(),
+                message: format!(
+                    "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
+                    a.block_rows(),
+                    a.block_cols(),
+                    b.block_rows(),
+                    b.block_cols()
+                ),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Statically checks the invocation with `verifier`, then applies
+    /// [`KernelSpec::conforms`]. A clean result means the stream may be
+    /// compiled and simulated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the verifier's first error-severity diagnostic, or the
+    /// `USTC012` grid rejection.
+    pub fn verify(&self, verifier: &dyn StreamVerifier) -> Result<(), VerifyError> {
+        match *self {
+            KernelSpec::SpMV { a } => verifier.verify_spmv(a),
+            KernelSpec::SpMSpV { a, x } => verifier.verify_spmspv(a, x),
+            KernelSpec::SpMM { a, n_cols } => verifier.verify_spmm(a, n_cols),
+            KernelSpec::SpGEMM { a, b } => verifier.verify_spgemm(a, b),
+        }?;
+        self.conforms()
     }
 }
 
@@ -391,146 +418,47 @@ where
     }
 }
 
-/// The T1 task stream of an SpMV invocation, in stored-block order: one MV
-/// task per stored 16x16 block of `A`.
-///
-/// This is the exact stream [`run_spmv`] executes; materialising it lets a
-/// scheduler shard the same tasks across workers and still merge a
-/// bit-identical [`KernelReport`] (the stream order is the merge order).
+/// The T1 task stream of an SpMV invocation ([`KernelSpec::tasks`]).
 pub fn spmv_tasks(a: &BbcMatrix) -> Vec<T1Task> {
-    a.blocks().map(|blk| T1Task::mv(Block16::from_bbc(&blk), u16::MAX)).collect()
+    KernelSpec::SpMV { a }.tasks()
 }
 
-/// SpMV (`y = A x`, dense `x`): one MV task per stored 16x16 block of `A`.
+/// The T1 task stream of an SpMSpV invocation ([`KernelSpec::tasks`]).
+pub fn spmspv_tasks(a: &BbcMatrix, x: &SparseVector) -> Vec<T1Task> {
+    KernelSpec::SpMSpV { a, x }.tasks()
+}
+
+/// SpMV (`y = A x`, dense `x`) on one engine.
 pub fn run_spmv(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
 ) -> KernelReport {
-    run_spmv_traced(engine, energy_model, a, &mut obs::NoopSink)
+    run_tasks(engine, energy_model, Kernel::SpMV, spmv_tasks(a))
 }
 
-/// [`run_spmv`] streaming trace events into `sink`.
-pub fn run_spmv_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpMV, spmv_tasks(a), sink)
-}
-
-/// SpMV under a fault plan: injects bit flips into a copy of `a`, checks
-/// the damage, and runs the kernel on the corrupted copy *unless*
-/// validation caught the corruption — in which case the run falls back to
-/// the pristine matrix (modelling a re-read from protected storage, which
-/// corrects every detected fault; `faults_uncorrected` therefore stays 0
-/// here). Undetected faults flow into the run silently, exactly as real
-/// soft errors would.
-///
-/// The fault counters land in the report's
-/// [`EventCounts`](crate::EventCounts).
-pub fn run_spmv_faulted(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    plan: &crate::fault::FaultPlan,
-) -> KernelReport {
-    let (corrupted, outcome) = plan.inject_into(a);
-    let src = if outcome.structure_corrupt { a } else { &corrupted };
-    let mut rep = run_spmv(engine, energy_model, src);
-    rep.events.faults_injected = outcome.log.injected();
-    rep.events.faults_detected = outcome.detected;
-    rep
-}
-
-/// SpMSpV (`y = A x`, sparse `x`): one MV task per stored block whose
-/// 16-element x-segment holds at least one nonzero.
+/// SpMSpV (`y = A x`, sparse `x`) on one engine.
 pub fn run_spmspv(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     x: &SparseVector,
 ) -> KernelReport {
-    run_spmspv_traced(engine, energy_model, a, x, &mut obs::NoopSink)
+    run_tasks(engine, energy_model, Kernel::SpMSpV, spmspv_tasks(a, x))
 }
 
-/// The T1 task stream of an SpMSpV invocation (see [`spmv_tasks`]): stored
-/// blocks whose 16-element x-segment holds at least one nonzero.
-pub fn spmspv_tasks(a: &BbcMatrix, x: &SparseVector) -> Vec<T1Task> {
-    a.blocks()
-        .filter_map(|blk| {
-            let mask = x.segment_mask16(blk.block_col);
-            if mask == 0 {
-                None
-            } else {
-                Some(T1Task::mv(Block16::from_bbc(&blk), mask))
-            }
-        })
-        .collect()
-}
-
-/// [`run_spmspv`] streaming trace events into `sink`.
-pub fn run_spmspv_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    x: &SparseVector,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpMSpV, spmspv_tasks(a, x), sink)
-}
-
-/// SpMM (`C = A B`, dense `B` with `n_cols` columns): `ceil(n_cols / 16)`
-/// MM tasks per stored block of `A`, each against a dense B block.
-///
-/// A zero-column `B` is a degenerate but valid request (the product has
-/// zero columns): the report simply carries no tasks, matching the numeric
-/// dataflow's treatment of an empty `B`.
+/// SpMM (`C = A B`, dense `B` with `n_cols` columns) on one engine. A
+/// zero-column `B` yields an empty report.
 pub fn run_spmm(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     n_cols: usize,
 ) -> KernelReport {
-    run_spmm_traced(engine, energy_model, a, n_cols, &mut obs::NoopSink)
+    run_tasks(engine, energy_model, Kernel::SpMM, KernelSpec::SpMM { a, n_cols }.tasks())
 }
 
-/// The T1 task stream of an SpMM invocation (see [`spmv_tasks`]):
-/// `ceil(n_cols / 16)` MM tasks per stored block of `A`. Empty when
-/// `n_cols == 0`.
-pub fn spmm_tasks(a: &BbcMatrix, n_cols: usize) -> Vec<T1Task> {
-    if n_cols == 0 {
-        return Vec::new();
-    }
-    let col_blocks = n_cols.div_ceil(16);
-    let tail = n_cols - (col_blocks - 1) * 16;
-    a.blocks()
-        .flat_map(move |blk| {
-            let a_bits = Block16::from_bbc(&blk);
-            (0..col_blocks).map(move |cb| {
-                let width = if cb + 1 == col_blocks { tail } else { 16 };
-                T1Task::mm(a_bits, Block16::dense().keep_cols(width))
-            })
-        })
-        .collect()
-}
-
-/// [`run_spmm`] streaming trace events into `sink`.
-pub fn run_spmm_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    n_cols: usize,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpMM, spmm_tasks(a, n_cols), sink)
-}
-
-/// SpGEMM (`C = A B`, both sparse): the block-level outer-product walk of
-/// Algorithm 2 — for every stored `A(i, k)` and every stored `B(k, j)`,
-/// issue one MM task (the top-level bitmap product check drops trivial
-/// pairs).
+/// SpGEMM (`C = A B`, both sparse) on one engine.
 ///
 /// # Panics
 ///
@@ -542,51 +470,7 @@ pub fn run_spgemm(
     a: &BbcMatrix,
     b: &BbcMatrix,
 ) -> KernelReport {
-    run_spgemm_traced(engine, energy_model, a, b, &mut obs::NoopSink)
-}
-
-/// [`run_spgemm`] streaming trace events into `sink`.
-///
-/// # Panics
-///
-/// Panics if the block grids do not conform (`a.block_cols() !=
-/// b.block_rows()`).
-pub fn run_spgemm_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    b: &BbcMatrix,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpGEMM, spgemm_tasks(a, b), sink)
-}
-
-/// The T1 task stream of an SpGEMM invocation (see [`spmv_tasks`]): the
-/// block-level outer-product walk of Algorithm 2.
-///
-/// # Panics
-///
-/// Panics if the block grids do not conform (`a.block_cols() !=
-/// b.block_rows()`).
-pub fn spgemm_tasks(a: &BbcMatrix, b: &BbcMatrix) -> Vec<T1Task> {
-    assert_eq!(
-        a.block_cols(),
-        b.block_rows(),
-        "SpGEMM block grids do not conform"
-    );
-    (0..a.block_rows())
-        .flat_map(move |bi| {
-            a.blocks_in_row(bi).flat_map(move |ai| {
-                let a_blk = a.block(ai);
-                let a_bits = Block16::from_bbc(&a_blk);
-                let k = a_blk.block_col;
-                b.blocks_in_row(k).map(move |bj| {
-                    let b_blk = b.block(bj);
-                    T1Task::mm(a_bits, Block16::from_bbc(&b_blk))
-                })
-            })
-        })
-        .collect()
+    run_tasks(engine, energy_model, Kernel::SpGEMM, KernelSpec::SpGEMM { a, b }.tasks())
 }
 
 #[cfg(test)]
@@ -729,7 +613,13 @@ mod tests {
     fn traced_run_brackets_every_task() {
         let a = bbc_from(&[(0, 0), (20, 20), (40, 0)], 48);
         let mut trace: Vec<obs::TraceEvent> = Vec::new();
-        let rep = run_spmv_traced(&Ideal, &EnergyModel::default(), &a, &mut trace);
+        let rep = run_tasks_traced(
+            &Ideal,
+            &EnergyModel::default(),
+            Kernel::SpMV,
+            spmv_tasks(&a),
+            &mut trace,
+        );
         let issues = trace
             .iter()
             .filter(|e| matches!(e, obs::TraceEvent::TaskIssue { .. }))
@@ -753,7 +643,13 @@ mod tests {
     fn noop_sink_report_matches_untraced_run() {
         let a = bbc_from(&[(0, 0), (0, 1), (20, 20)], 32);
         let plain = run_spmv(&Ideal, &EnergyModel::default(), &a);
-        let traced = run_spmv_traced(&Ideal, &EnergyModel::default(), &a, &mut obs::NoopSink);
+        let traced = run_tasks_traced(
+            &Ideal,
+            &EnergyModel::default(),
+            Kernel::SpMV,
+            spmv_tasks(&a),
+            &mut obs::NoopSink,
+        );
         assert_eq!(plain, traced);
     }
 

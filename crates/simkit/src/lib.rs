@@ -64,7 +64,7 @@ mod result;
 mod task;
 
 pub use bitmap::{tile_col, tile_products, tile_row, Block16};
-pub use driver::{Driver, StreamVerifier, VerifyError};
+pub use driver::{KernelSpec, StreamVerifier, VerifyError};
 pub use energy::{EnergyBreakdown, EnergyModel, NetworkCosts};
 pub use engine::{Precision, TileEngine};
 pub use result::{EventCounts, T1Result, UtilHistogram};

@@ -101,12 +101,32 @@ fn spmspv_frontier_sparsity_lowers_work() {
 }
 
 #[test]
+fn multi_unit_serial_cycles_match_the_serial_driver() {
+    // The replay bills each stored block the cycles of its own tasks in
+    // the kernel's stream, so its serial total is the driver's total —
+    // including the empty stream of a zero-column SpMM.
+    let bbc = BbcMatrix::from_csr(&gen::random_uniform(96, 0.08, 1));
+    let em = EnergyModel::default();
+    let uni = UniStc::default();
+    for n_units in [1usize, 4] {
+        let spmv = parallel_kernel(&uni, &bbc, Kernel::SpMV, 1, n_units);
+        assert_eq!(spmv.serial_cycles, simkit::driver::run_spmv(&uni, &em, &bbc).cycles);
+        for n_cols in [0usize, 1, 20, 64] {
+            let spmm = parallel_kernel(&uni, &bbc, Kernel::SpMM, n_cols, n_units);
+            let serial = run_spmm(&uni, &em, &bbc, n_cols).cycles;
+            assert_eq!(spmm.serial_cycles, serial, "SpMM n_cols={n_cols} units={n_units}");
+            assert_eq!(spmm.unit_cycles.iter().sum::<u64>(), serial);
+        }
+    }
+}
+
+#[test]
 fn multi_unit_replay_consistent_with_roofline() {
     let a = gen::banded(512, 8, 0.6, 5);
     let bbc = BbcMatrix::from_csr(&a);
     let em = EnergyModel::default();
     let uni = UniStc::default();
-    let rep = parallel_kernel(&uni, &em, &bbc, Kernel::SpMV, 1, 4);
+    let rep = parallel_kernel(&uni, &bbc, Kernel::SpMV, 1, 4);
     assert!(rep.speedup() > 2.0);
     // Roofline on the serial run: SpMV streams the matrix once.
     let serial = simkit::driver::run_spmv(&uni, &em, &bbc);

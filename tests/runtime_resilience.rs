@@ -9,11 +9,10 @@
 
 use std::time::Duration;
 
-use bench::{headline_engines, MatrixCtx, KERNELS};
-use runtime::{Backoff, ChaosPlan, RuntimeConfig, TaskOutcome};
-use simkit::driver;
+use bench::{headline_engines, run_threaded, MatrixCtx, KERNELS};
+use runtime::{Backoff, ChaosPlan, DegradedError, PlannedRunError, RuntimeConfig, TaskOutcome};
+use simkit::driver::{self, KernelSpec};
 use simkit::{EnergyModel, Precision};
-use uni_stc::multi::DegradedError;
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
 
@@ -147,8 +146,8 @@ fn panicking_engine_fails_the_kernel_not_the_process() {
     let ctx = &rep_contexts()[0];
     let cfg = fast(RuntimeConfig { max_retries: 1, ..RuntimeConfig::with_threads(2) });
     let em = EnergyModel::default();
-    match ctx.run_sharded(&cfg, &Grenade, &em, driver::Kernel::SpMV) {
-        Err(DegradedError::RetriesExhausted { attempts, .. }) => {
+    match run_threaded(&cfg, &Grenade, &em, ctx.spec(driver::Kernel::SpMV)) {
+        Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
             assert_eq!(attempts, 2, "first try + one retry");
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
@@ -167,7 +166,10 @@ fn thread_matrix_is_bit_identical_across_kernels() {
         for kernel in KERNELS {
             let serial = ctx.run(engine.as_ref(), &em, kernel);
             for threads in [1, 2, 8] {
-                let threaded = ctx.run_threaded(engine.as_ref(), &em, kernel, threads);
+                let cfg = RuntimeConfig::with_threads(threads);
+                let threaded = run_threaded(&cfg, engine.as_ref(), &em, ctx.spec(kernel))
+                    .expect("production engines never fail a shard")
+                    .report;
                 assert_eq!(
                     threaded.counter_signature(),
                     serial.counter_signature(),
@@ -216,7 +218,8 @@ fn degraded_kernel_report_stays_bit_identical() {
     // the merged counters must not move.
     let chaos = ChaosPlan::new(29, 0.3, 0.0, 0.0, 0).expect("valid");
     let cfg = fast(RuntimeConfig { quorum: 2, ..RuntimeConfig::with_threads(2).with_chaos(chaos) });
-    let sharded = ctx.run_sharded(&cfg, &engine, &em, driver::Kernel::SpMV).expect("completes");
+    let sharded =
+        run_threaded(&cfg, &engine, &em, ctx.spec(driver::Kernel::SpMV)).expect("completes");
     assert!(sharded.degraded.is_some(), "30 % crash rate must cost the pool its quorum");
     assert_eq!(sharded.report, serial);
 }
@@ -257,7 +260,8 @@ fn acceptance_chaos_corpus_matches_serial_on_all_kernels() {
     for kernel in KERNELS {
         let serial = ctx.run(&engine, &em, kernel);
         let cfg = fast(RuntimeConfig::with_threads(2).with_chaos(chaos));
-        let sharded = ctx.run_sharded(&cfg, &engine, &em, kernel).expect("chaos is survivable");
+        let sharded =
+            run_threaded(&cfg, &engine, &em, ctx.spec(kernel)).expect("chaos is survivable");
         assert_eq!(
             sharded.report.counter_signature(),
             serial.counter_signature(),
@@ -293,13 +297,14 @@ fn two_thread_conformance_smoke() {
             driver::run_spmm(&engine, &em, &bbc, 20),
             driver::run_spgemm(&engine, &em, &bbc, &bbc_b),
         ];
-        let sharded = [
-            runtime::run_spmv_sharded(&cfg, &engine, &em, &bbc).expect("spmv"),
-            runtime::run_spmspv_sharded(&cfg, &engine, &em, &bbc, &sx).expect("spmspv"),
-            runtime::run_spmm_sharded(&cfg, &engine, &em, &bbc, 20).expect("spmm"),
-            runtime::run_spgemm_sharded(&cfg, &engine, &em, &bbc, &bbc_b).expect("spgemm"),
+        let specs = [
+            KernelSpec::SpMV { a: &bbc },
+            KernelSpec::SpMSpV { a: &bbc, x: &sx },
+            KernelSpec::SpMM { a: &bbc, n_cols: 20 },
+            KernelSpec::SpGEMM { a: &bbc, b: &bbc_b },
         ];
-        for (s, p) in serial.iter().zip(&sharded) {
+        for (s, spec) in serial.iter().zip(specs) {
+            let p = run_threaded(&cfg, &engine, &em, spec).expect("no shard fails");
             assert_eq!(
                 s.counter_signature(),
                 p.report.counter_signature(),
