@@ -112,7 +112,7 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
 
     // USTC013: a stream whose numeric cost disagrees with the metadata.
     let a = seeded_matrix(48);
-    let kernel = compile_spmv(&cfg, &a, 2);
+    let kernel = compile_spmv(&a, 2);
     let mut tampered = kernel.clone();
     let mut rebuilt = Program::new();
     for (i, instr) in tampered.warps[0].program.instructions().iter().enumerate() {

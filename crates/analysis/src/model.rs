@@ -57,14 +57,14 @@ pub struct StreamModel {
     pub t1: Vec<T1Node>,
 }
 
-/// Active DPG count for one issue window of T3 tasks, as the TMS
-/// look-ahead would gate it.
-pub fn active_dpgs(cfg: &UniStcConfig, window: &[T3Task]) -> usize {
+/// Active DPG count for one issue window of T3 tasks, given their
+/// intermediate products in queue order, as the TMS look-ahead would gate
+/// it.
+pub fn active_dpgs(cfg: &UniStcConfig, window_products: impl IntoIterator<Item = u32>) -> usize {
     if !cfg.power_gating {
         return cfg.n_dpg;
     }
-    let products: Vec<u32> = window.iter().map(|t| t.products).collect();
-    dpgs_required(cfg, &products).clamp(1, cfg.n_dpg)
+    dpgs_required(cfg, window_products).clamp(1, cfg.n_dpg)
 }
 
 /// Routes a TMS-ordered T3 task list onto DPG slots: windows of `n_dpg`
@@ -72,7 +72,7 @@ pub fn active_dpgs(cfg: &UniStcConfig, window: &[T3Task]) -> usize {
 pub fn route_tasks(cfg: &UniStcConfig, tasks: &[T3Task]) -> Vec<T3Node> {
     let mut out = Vec::with_capacity(tasks.len());
     for window in tasks.chunks(cfg.n_dpg.max(1)) {
-        let active = active_dpgs(cfg, window);
+        let active = active_dpgs(cfg, window.iter().map(|t| t.products));
         for (idx, &task) in window.iter().enumerate() {
             out.push(T3Node { task, dpg: idx % active });
         }
@@ -236,8 +236,7 @@ mod tests {
         let routed = route_tasks(&cfg, &dense);
         assert_eq!(routed.len(), 64);
         for window in routed.chunks(cfg.n_dpg) {
-            let tasks: Vec<T3Task> = window.iter().map(|n| n.task).collect();
-            let active = active_dpgs(&cfg, &tasks);
+            let active = active_dpgs(&cfg, window.iter().map(|n| n.task.products));
             assert_eq!(active, 2);
             assert!(window.iter().all(|n| n.dpg < active));
         }

@@ -264,8 +264,7 @@ impl Verifier {
     /// Routing checks per issue window (`USTC010` / `USTC011`).
     fn check_routing(&self, report: &mut Report, block: usize, t3: &[T3Node]) {
         for (wi, window) in t3.chunks(self.cfg.n_dpg.max(1)).enumerate() {
-            let tasks: Vec<_> = window.iter().map(|n| n.task).collect();
-            let active = active_dpgs(&self.cfg, &tasks);
+            let active = active_dpgs(&self.cfg, window.iter().map(|n| n.task.products));
             for (i, node) in window.iter().enumerate() {
                 let ti = wi * self.cfg.n_dpg.max(1) + i;
                 if node.dpg >= self.cfg.n_dpg {
@@ -312,7 +311,7 @@ impl Verifier {
             return report;
         }
         report.merge(self.verify_model(&StreamModel::spmv(&self.cfg, a)));
-        report.merge(self.verify_kernel(&compile_spmv(&self.cfg, a, n_warps.max(1))));
+        report.merge(self.verify_kernel(&compile_spmv(a, n_warps.max(1))));
         report
     }
 
@@ -346,7 +345,7 @@ impl Verifier {
             return report;
         }
         report.merge(self.verify_model(&StreamModel::spgemm(&self.cfg, a, b)));
-        report.merge(self.verify_kernel(&compile_spgemm(&self.cfg, a, b, n_warps.max(1))));
+        report.merge(self.verify_kernel(&compile_spgemm(a, b, n_warps.max(1))));
         report
     }
 
@@ -359,7 +358,7 @@ impl Verifier {
         if report.has_errors() {
             return report;
         }
-        let expected = compile_spmv(&self.cfg, a, kernel.warps.len().max(1));
+        let expected = compile_spmv(a, kernel.warps.len().max(1));
         report.merge(diff_kernels(&expected, kernel));
         report
     }
@@ -628,7 +627,7 @@ mod tests {
         let cfg = UniStcConfig::default();
         let v = Verifier::new(cfg);
         let a = bbc(48, (0..48).map(|i| (i, (i * 3) % 48)));
-        let kernel = compile_spmv(&cfg, &a, 2);
+        let kernel = compile_spmv(&a, 2);
         assert!(v.verify_spmv_against(&a, &kernel).is_clean());
         let mut tampered = kernel.clone();
         let program = &mut tampered.warps[0].program;

@@ -171,7 +171,7 @@ fn fault_bridge_catches_bit_flips_before_execution() {
 fn compiled_kernel_verify_bridges_to_stable_codes() {
     let cfg = UniStcConfig::default();
     let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
-    let kernel = uni_stc::compiler::compile_spmv(&cfg, &a, 2);
+    let kernel = uni_stc::compiler::compile_spmv(&a, 2);
     assert!(kernel.verify().is_ok());
     // The analysis verifier agrees, and resolves spans into the listings.
     let v = Verifier::new(cfg);
@@ -201,7 +201,7 @@ fn engine_reference_drive_matches_verifier_verdict() {
     let cfg = UniStcConfig::default();
     let v = Verifier::new(cfg);
     let a = bbc(96, (0..96).flat_map(|i| [(i, i), (i, (i * 11) % 96)]));
-    let kernel = uni_stc::compiler::compile_spmv(&cfg, &a, 3);
+    let kernel = uni_stc::compiler::compile_spmv(&a, 3);
     assert!(v.verify_kernel(&kernel).is_clean());
     assert!(kernel.run().is_ok());
     let mut bad = Program::new();

@@ -12,8 +12,7 @@ use sparse::BbcMatrix;
 
 use crate::isa::{Lifecycle, LifecycleError, Program, ProgramStats, Uwmma};
 use crate::schedule::balance_warps;
-use crate::tms::generate_t3_tasks;
-use crate::UniStcConfig;
+use crate::tms::TileLayers;
 
 /// One warp's compiled instruction stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,13 +110,15 @@ impl std::fmt::Display for WarpDiagnostic {
     }
 }
 
-fn t1_costs(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> Option<(u64, u64)> {
-    let t3 = generate_t3_tasks(a, b, cfg.ordering);
-    if t3.is_empty() {
-        return None;
+/// `(T3 tasks, intermediate products)` of one T1 task, read from its
+/// layer bitmaps (the count and total do not depend on the task ordering);
+/// `None` for a trivial task.
+fn t1_costs(a: &Block16, b: &Block16) -> Option<(u64, u64)> {
+    let layers = TileLayers::new(a, b);
+    match layers.t3_count() {
+        0 => None,
+        t3 => Some((t3 as u64, layers.products())),
     }
-    let products: u64 = t3.iter().map(|t| t.products as u64).sum();
-    Some((t3.len() as u64, products))
 }
 
 /// Compiles SpMV (dense `x`) into per-warp UWMMA streams.
@@ -125,7 +126,7 @@ fn t1_costs(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> Option<(u64, u64)> 
 /// # Panics
 ///
 /// Panics if `n_warps == 0`.
-pub fn compile_spmv(cfg: &UniStcConfig, a: &BbcMatrix, n_warps: usize) -> CompiledKernel {
+pub fn compile_spmv(a: &BbcMatrix, n_warps: usize) -> CompiledKernel {
     let ranges = balance_warps(a, n_warps);
     let n = ranges.iter().map(|r| r.warp).max().map_or(0, |w| w + 1);
     let mut programs: Vec<Program> = vec![Program::new(); n];
@@ -133,7 +134,7 @@ pub fn compile_spmv(cfg: &UniStcConfig, a: &BbcMatrix, n_warps: usize) -> Compil
         for bi in range.start..range.end {
             let bits = Block16::from_bbc(&a.block(bi));
             let x = Block16::from_vector_mask(u16::MAX);
-            if let Some((t3, products)) = t1_costs(cfg, &bits, &x) {
+            if let Some((t3, products)) = t1_costs(&bits, &x) {
                 for instr in Program::spmv_block(t3, products).instructions() {
                     programs[range.warp].push(instr.op, instr.cost);
                 }
@@ -155,12 +156,7 @@ pub fn compile_spmv(cfg: &UniStcConfig, a: &BbcMatrix, n_warps: usize) -> Compil
 /// # Panics
 ///
 /// Panics if `n_warps == 0` or the block grids do not conform.
-pub fn compile_spgemm(
-    cfg: &UniStcConfig,
-    a: &BbcMatrix,
-    b: &BbcMatrix,
-    n_warps: usize,
-) -> CompiledKernel {
+pub fn compile_spgemm(a: &BbcMatrix, b: &BbcMatrix, n_warps: usize) -> CompiledKernel {
     assert_eq!(a.block_cols(), b.block_rows(), "block grids do not conform");
     let ranges = balance_warps(a, n_warps);
     let n = ranges.iter().map(|r| r.warp).max().map_or(0, |w| w + 1);
@@ -171,7 +167,7 @@ pub fn compile_spgemm(
             let a_bits = Block16::from_bbc(&a_blk);
             for bj in b.blocks_in_row(a_blk.block_col) {
                 let b_bits = Block16::from_bbc(&b.block(bj));
-                if let Some((t3, products)) = t1_costs(cfg, &a_bits, &b_bits) {
+                if let Some((t3, products)) = t1_costs(&a_bits, &b_bits) {
                     for instr in Program::spgemm_block(t3, products).instructions() {
                         programs[range.warp].push(instr.op, instr.cost);
                     }
@@ -204,8 +200,7 @@ mod tests {
     #[test]
     fn spmv_compiles_four_instructions_per_block() {
         let a = bbc(64, (0..64).map(|i| (i, i)));
-        let cfg = UniStcConfig::default();
-        let k = compile_spmv(&cfg, &a, 2);
+        let k = compile_spmv(&a, 2);
         assert_eq!(k.warps.len(), 2);
         assert_eq!(k.total_instructions(), 4 * a.block_count());
         // Every stream executes legally.
@@ -216,9 +211,8 @@ mod tests {
     #[test]
     fn makespan_below_serial_sum() {
         let a = bbc(128, (0..128).flat_map(|i| [(i, i), (i, (i * 5) % 128)]));
-        let cfg = UniStcConfig::default();
-        let k1 = compile_spmv(&cfg, &a, 1);
-        let k4 = compile_spmv(&cfg, &a, 4);
+        let k1 = compile_spmv(&a, 1);
+        let k4 = compile_spmv(&a, 4);
         let serial = k1.makespan().unwrap();
         let parallel = k4.makespan().unwrap();
         assert!(parallel < serial, "parallel {parallel} vs serial {serial}");
@@ -231,8 +225,7 @@ mod tests {
         // instructions should be emitted for that pair.
         let a = bbc(16, [(0, 0)]);
         let b = bbc(16, [(5, 0)]);
-        let cfg = UniStcConfig::default();
-        let k = compile_spgemm(&cfg, &a, &b, 1);
+        let k = compile_spgemm(&a, &b, 1);
         assert_eq!(k.total_instructions(), 0);
         assert_eq!(k.makespan().unwrap(), 0);
     }
@@ -240,8 +233,7 @@ mod tests {
     #[test]
     fn spgemm_program_listing_shows_mm_opcodes() {
         let a = bbc(32, (0..32).map(|i| (i, (i * 3) % 32)));
-        let cfg = UniStcConfig::default();
-        let k = compile_spgemm(&cfg, &a, &a, 1);
+        let k = compile_spgemm(&a, &a, 1);
         assert!(k.total_instructions() > 0);
         let listing = k.warps[0].program.listing();
         assert!(listing.contains("stc.task_gen.mm"));
@@ -253,8 +245,7 @@ mod tests {
     #[test]
     fn verify_agrees_with_run() {
         let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
-        let cfg = UniStcConfig::default();
-        let k = compile_spmv(&cfg, &a, 2);
+        let k = compile_spmv(&a, 2);
         assert!(k.verify().is_ok());
         assert!(k.run().is_ok());
         // Tamper one warp into an illegal stream: numeric with no batch.
@@ -275,9 +266,8 @@ mod tests {
     fn cycles_scale_with_products() {
         let sparse_m = bbc(32, (0..8).map(|i| (i, i)));
         let dense_m = bbc(32, (0..32).flat_map(|r| (0..32).map(move |c| (r, c))));
-        let cfg = UniStcConfig::default();
-        let s = compile_spmv(&cfg, &sparse_m, 1).makespan().unwrap();
-        let d = compile_spmv(&cfg, &dense_m, 1).makespan().unwrap();
+        let s = compile_spmv(&sparse_m, 1).makespan().unwrap();
+        let d = compile_spmv(&dense_m, 1).makespan().unwrap();
         assert!(d > s, "dense {d} vs sparse {s}");
     }
 }

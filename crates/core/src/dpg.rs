@@ -10,7 +10,9 @@
 //! T4 codes fill the dot-product queue in a **Z-shaped** order that bounds
 //! every operand's broadcast range (A: 5 multipliers, B: 9).
 
-use simkit::{tile_col, tile_row};
+use simkit::{tile_row, tile_row_occupancy, tile_transpose};
+
+use crate::tms::set_bits;
 
 /// Fill order of the dot-product queue (Section IV-A.2, point 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,27 +58,88 @@ impl T4Code {
     }
 }
 
+/// Row-major positions `m * 4 + n` of tile C in Z-shaped visit order:
+/// the 2x2 output sub-blocks in row order, each left-right then down (A
+/// row reused consecutively, B column at distance 2).
+const Z_VISIT: [u8; 16] = [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15];
+
+/// Row-major positions of tile C in N-shaped visit order: the same
+/// sub-blocks, each top-bottom then right.
+const N_VISIT: [u8; 16] = [0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15];
+
+fn visit_positions(fill: FillOrder) -> &'static [u8; 16] {
+    match fill {
+        FillOrder::ZShape => &Z_VISIT,
+        FillOrder::NShape => &N_VISIT,
+    }
+}
+
 /// The output-position visit order of a fill strategy over the 4x4 tile C.
 pub fn visit_order(fill: FillOrder) -> [(u8, u8); 16] {
-    let mut order = [(0u8, 0u8); 16];
-    let mut idx = 0;
-    for bm in 0..2u8 {
-        for bn in 0..2u8 {
-            let (m0, n0) = (bm * 2, bn * 2);
-            let inner: [(u8, u8); 4] = match fill {
-                // Z: left-right then next row (A row reused consecutively,
-                // B column at distance 2).
-                FillOrder::ZShape => [(0, 0), (0, 1), (1, 0), (1, 1)],
-                // N: top-bottom then next column.
-                FillOrder::NShape => [(0, 0), (1, 0), (0, 1), (1, 1)],
-            };
-            for (dm, dn) in inner {
-                order[idx] = (m0 + dm, n0 + dn);
-                idx += 1;
-            }
+    visit_positions(fill).map(|p| (p / 4, p % 4))
+}
+
+/// The T4 codes of one T3 task in fill order, held inline: a T3 task
+/// yields at most one code per output position of the 4x4 tile C, so at
+/// most 16. Derefs to `[T4Code]`.
+#[derive(Clone, Copy)]
+pub struct T4Codes {
+    codes: [T4Code; 16],
+    len: u8,
+}
+
+impl T4Codes {
+    const EMPTY: T4Codes =
+        T4Codes { codes: [T4Code { m: 0, n: 0, c_index: 0, pattern: 0 }; 16], len: 0 };
+}
+
+impl std::ops::Deref for T4Codes {
+    type Target = [T4Code];
+
+    #[inline]
+    fn deref(&self) -> &[T4Code] {
+        &self.codes[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for T4Codes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a T4Codes {
+    type Item = &'a T4Code;
+    type IntoIter = std::slice::Iter<'a, T4Code>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl IntoIterator for T4Codes {
+    type Item = T4Code;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T4Code, 16>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.codes.into_iter().take(usize::from(self.len))
+    }
+}
+
+/// Re-indexes a row-major position mask of tile C into visit order: bit
+/// `v` of the result is position `visit_positions(fill)[v]`. The Z order
+/// swaps index bits 1 and 2 (`n1`, `m0`); the N order then also swaps
+/// bits 0 and 1.
+fn visit_mask(positions: u16, fill: FillOrder) -> u16 {
+    let t = (positions ^ positions >> 2) & 0x0C0C;
+    let z = positions ^ t ^ t << 2;
+    match fill {
+        FillOrder::ZShape => z,
+        FillOrder::NShape => {
+            let t = (z ^ z >> 1) & 0x2222;
+            z ^ t ^ t << 1
         }
     }
-    order
 }
 
 /// Expands one T3 task (tile masks `a_tile`, `b_tile`) into its T4 codes
@@ -86,50 +149,41 @@ pub fn visit_order(fill: FillOrder) -> [(u8, u8); 16] {
 /// with an empty pattern produce no code. `c_index` ranks the outputs in
 /// tile C's row-major structural order, matching the BBC value layout the
 /// accumulation buffer uses.
-pub fn expand_t3(a_tile: u16, b_tile: u16, fill: FillOrder) -> Vec<T4Code> {
-    // Structural C tile: row-major ranks for the accumulation targets.
-    let mut pattern = [[0u8; 4]; 4];
-    let mut c_rank = [[0u8; 4]; 4];
-    let mut rank = 0u8;
-    for m in 0..4 {
-        for n in 0..4 {
-            let p = (tile_row(a_tile, m) & tile_col(b_tile, n)) as u8;
-            pattern[m][n] = p;
-            if p != 0 {
-                c_rank[m][n] = rank;
-                rank += 1;
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(rank as usize);
-    for (m, n) in visit_order(fill) {
-        let p = pattern[m as usize][n as usize];
-        if p != 0 {
-            out.push(T4Code { m, n, c_index: c_rank[m as usize][n as usize], pattern: p });
-        }
+pub fn expand_t3(a_tile: u16, b_tile: u16, fill: FillOrder) -> T4Codes {
+    // Nibble n of `overlay[m]` is the K-match pattern of output (m, n):
+    // row m of A against row n of B's transpose.
+    let b_cols = tile_transpose(b_tile);
+    let overlay: [u16; 4] = std::array::from_fn(|m| (tile_row(a_tile, m) * 0x1111) & b_cols);
+    // The structural C tile, row-major, and the row-major rank of every
+    // position as nibble `pos` of `ranks`.
+    let present = (0..4).fold(0u16, |c, m| c | tile_row_occupancy(overlay[m]) << (4 * m));
+    let ranks = exclusive_nibble_ranks(present);
+    let visit = visit_positions(fill);
+    let mut out = T4Codes::EMPTY;
+    for v in set_bits(visit_mask(present, fill)) {
+        let pos = visit[v];
+        let (m, n) = (pos / 4, pos % 4);
+        out.codes[usize::from(out.len)] = T4Code {
+            m,
+            n,
+            c_index: (ranks >> (4 * pos) & 0xF) as u8,
+            pattern: (overlay[usize::from(m)] >> (4 * n) & 0xF) as u8,
+        };
+        out.len += 1;
     }
     out
 }
 
-/// [`expand_t3`] with instrumentation: records one
-/// [`DpgExpand`](obs::TraceEvent::DpgExpand) event carrying the segment
-/// count and total intermediate products of the expansion.
-pub fn expand_t3_traced(
-    a_tile: u16,
-    b_tile: u16,
-    fill: FillOrder,
-    sink: &mut dyn obs::TraceSink,
-) -> Vec<T4Code> {
-    let codes = expand_t3(a_tile, b_tile, fill);
-    if sink.enabled() {
-        let products: u32 = codes.iter().map(|c| u32::from(c.len())).sum();
-        sink.record(obs::TraceEvent::DpgExpand {
-            cycle: 0,
-            segments: codes.len() as u32,
-            products,
-        });
-    }
-    codes
+/// Nibble `p` of the result is the number of set bits of `mask` below bit
+/// `p` (at most 15, so no nibble carries): the bits are spread one per
+/// nibble, shifted up one nibble, and prefix-summed by one multiplication.
+fn exclusive_nibble_ranks(mask: u16) -> u64 {
+    let mut x = u64::from(mask);
+    x = (x | x << 24) & 0x0000_00FF_0000_00FF;
+    x = (x | x << 12) & 0x000F_000F_000F_000F;
+    x = (x | x << 6) & 0x0303_0303_0303_0303;
+    x = (x | x << 3) & 0x1111_1111_1111_1111;
+    (x << 4).wrapping_mul(0x1111_1111_1111_1111)
 }
 
 /// Maximum distance (in queue positions) between two T4 codes that share

@@ -55,6 +55,8 @@ pub mod kernels;
 pub mod multi;
 pub mod pipeline;
 pub mod power;
+#[cfg(test)]
+mod reference;
 pub mod schedule;
 pub mod sdpu;
 pub mod tms;

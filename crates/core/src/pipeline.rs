@@ -17,20 +17,20 @@
 //! Task generation latency is hidden by the asynchronous `stc.task_gen`
 //! lifecycle (Section IV-G), so the model charges only execution cycles.
 
-use std::collections::VecDeque;
-
 use simkit::{T1Result, T1Task};
 
-use crate::dpg::expand_t3_traced;
-use crate::tms::{generate_t3_tasks_traced, T3Task};
+use crate::dpg::expand_t3;
+use crate::tms::generate_t3_tasks;
 use crate::UniStcConfig;
 
-/// A T3 task in flight on a DPG: its output-tile id and remaining T4
-/// segment lengths in fill order.
-#[derive(Debug, Clone)]
+/// A T3 task in flight on a DPG: its output-tile id and the cursor
+/// `next..end` over its T4 segment lengths in the T1 task's flat segment
+/// buffer (fill order).
+#[derive(Debug, Clone, Copy)]
 struct InFlight {
     output_id: u8,
-    segments: VecDeque<u8>,
+    next: u16,
+    end: u16,
 }
 
 /// One cycle of the pipeline's execution, as recorded by
@@ -129,10 +129,16 @@ pub fn execute_t1_with_sink(
 fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> T1Result {
     let lanes = cfg.lanes();
     let mut res = T1Result::new(lanes);
+    let tracing = sink.obs().enabled();
 
     // ---- Stage 1: TMS ----
-    let t3_tasks: Vec<T3Task> =
-        generate_t3_tasks_traced(&task.a, &task.b, cfg.ordering, sink.obs());
+    let t3_tasks = generate_t3_tasks(&task.a, &task.b, cfg.ordering);
+    if tracing {
+        // Timestamp 0: generation latency is hidden by the asynchronous
+        // `stc.task_gen` lifecycle, so the batch materialises at task start.
+        sink.obs()
+            .record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: t3_tasks.len() as u32 });
+    }
     if t3_tasks.is_empty() {
         return res;
     }
@@ -156,22 +162,33 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     }
 
     // ---- Stage 2: DPG expansion ----
-    let mut queue: VecDeque<InFlight> = t3_tasks
-        .iter()
-        .map(|t| {
-            let codes = expand_t3_traced(t.a_tile, t.b_tile, cfg.fill_order, sink.obs());
-            res.events.sched_ops += codes.len() as u64;
-            InFlight {
-                output_id: t.output_id(),
-                segments: codes.iter().map(|c| c.len()).collect(),
-            }
-        })
-        .collect();
+    // Every T3 task's segment lengths, back to back in Tile-queue order
+    // (at most 16 per task); `counts[t]` is task `t`'s share.
+    let mut segments: Vec<u8> = Vec::with_capacity(16 * t3_tasks.len());
+    let mut counts = [0u8; 64];
+    for (count, t) in counts.iter_mut().zip(&t3_tasks) {
+        let codes = expand_t3(t.a_tile, t.b_tile, cfg.fill_order);
+        segments.extend(codes.iter().map(|c| c.len()));
+        *count = codes.len() as u8;
+        res.events.sched_ops += codes.len() as u64;
+        if tracing {
+            let products: u32 = codes.iter().map(|c| u32::from(c.len())).sum();
+            sink.obs().record(obs::TraceEvent::DpgExpand {
+                cycle: 0,
+                segments: codes.len() as u32,
+                products,
+            });
+        }
+    }
 
     // ---- Stage 3: SDPU execution with round-robin DPG arbitration ----
     let n_dpg = cfg.n_dpg;
     let emit_cap = cfg.dpg_emit_lanes();
     let mut slots: Vec<Option<InFlight>> = vec![None; n_dpg];
+    // The Tile queue holds tasks `next_t3..`; their segments start at
+    // `seg_at`.
+    let mut next_t3 = 0usize;
+    let mut seg_at = 0u16;
     let mut rr = 0usize;
     // MV tasks accumulate into per-thread registers (`ry` in Algorithm 1)
     // that a final `shfl_gather` merges, so same-output-tile T3 tasks do
@@ -183,22 +200,25 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     loop {
         // Refill empty DPG slots from the tile queue.
         for slot in slots.iter_mut() {
-            if slot.is_none() {
-                *slot = queue.pop_front();
+            if slot.is_none() && next_t3 < t3_tasks.len() {
+                let end = seg_at + u16::from(counts[next_t3]);
+                let output_id = t3_tasks[next_t3].output_id();
+                *slot = Some(InFlight { output_id, next: seg_at, end });
+                seg_at = end;
+                next_t3 += 1;
             }
         }
         if slots.iter().all(Option::is_none) {
             break;
         }
 
-        if sink.obs().enabled() {
+        if tracing {
             // Sample queue occupancy at cycle start: T3 tasks still in the
             // Tile queue, T4 segments resident in DPG slots (Dot queue).
-            let dot: u32 =
-                slots.iter().flatten().map(|infl| infl.segments.len() as u32).sum();
+            let dot: u32 = slots.iter().flatten().map(|f| u32::from(f.end - f.next)).sum();
             sink.obs().record(obs::TraceEvent::QueueDepth {
                 cycle,
-                tile: queue.len() as u32,
+                tile: (t3_tasks.len() - next_t3) as u32,
                 dot,
             });
         }
@@ -223,12 +243,12 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 continue;
             }
             let mut emitted = 0usize;
-            while let Some(&len) = infl.segments.front() {
-                let len = len as usize;
+            while infl.next < infl.end {
+                let len = segments[usize::from(infl.next)] as usize;
                 if used + len > lanes || emitted + len > emit_cap {
                     break;
                 }
-                infl.segments.pop_front();
+                infl.next += 1;
                 used += len;
                 emitted += len;
                 segments_emitted += 1;
@@ -239,12 +259,12 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 active_dpgs += 1;
                 outputs_claimed |= bit;
             }
-            if infl.segments.is_empty() {
+            if infl.next == infl.end {
                 slots[idx] = None;
             }
         }
         debug_assert!(used > 0, "pipeline must make progress every cycle");
-        if sink.obs().enabled() {
+        if tracing {
             sink.obs().record(obs::TraceEvent::SdpuPack {
                 cycle,
                 segments: segments_emitted,

@@ -17,14 +17,16 @@ use crate::UniStcConfig;
 /// the prefix-sum of their per-cycle product supply is compared against
 /// the SDPU's lane capacity, and activation stops at saturation.
 ///
-/// `head_products` holds the remaining intermediate products of the T3
+/// `head_products` yields the remaining intermediate products of the T3
 /// tasks at the queue head, in queue order (at most one task per DPG).
-pub fn dpgs_required(cfg: &UniStcConfig, head_products: &[u32]) -> usize {
+pub fn dpgs_required(cfg: &UniStcConfig, head_products: impl IntoIterator<Item = u32>) -> usize {
     let lanes = cfg.lanes() as u64;
     let emit = cfg.dpg_emit_lanes() as u64;
+    let mut head = head_products.into_iter();
+    let Some(first) = head.next() else { return 0 };
     let mut supply = 0u64;
     let mut active = 0usize;
-    for &p in head_products.iter().take(cfg.n_dpg) {
+    for p in std::iter::once(first).chain(head).take(cfg.n_dpg) {
         if p == 0 {
             continue;
         }
@@ -34,7 +36,7 @@ pub fn dpgs_required(cfg: &UniStcConfig, head_products: &[u32]) -> usize {
         supply += (p as u64).min(emit);
         active += 1;
     }
-    active.max(usize::from(!head_products.is_empty()))
+    active.max(1)
 }
 
 /// Ratio of always-on to gated datapath energy for a run with
@@ -60,21 +62,21 @@ mod tests {
         // Two DPGs at 32 lanes each saturate the 64-lane SDPU.
         let cfg = UniStcConfig::default();
         let head = [64u32; 8];
-        assert_eq!(dpgs_required(&cfg, &head), 2);
+        assert_eq!(dpgs_required(&cfg, head), 2);
     }
 
     #[test]
     fn sparse_supply_activates_many_dpgs() {
         let cfg = UniStcConfig::default();
         let head = [4u32; 8];
-        assert_eq!(dpgs_required(&cfg, &head), 8);
+        assert_eq!(dpgs_required(&cfg, head), 8);
     }
 
     #[test]
     fn empty_tasks_are_skipped() {
         let cfg = UniStcConfig::default();
-        assert_eq!(dpgs_required(&cfg, &[0, 0, 64, 64, 0]), 2);
-        assert_eq!(dpgs_required(&cfg, &[]), 0);
+        assert_eq!(dpgs_required(&cfg, [0, 0, 64, 64, 0]), 2);
+        assert_eq!(dpgs_required(&cfg, []), 0);
     }
 
     #[test]
@@ -85,7 +87,7 @@ mod tests {
         let t = T1Task::mm(Block16::dense(), Block16::dense());
         let r = execute_t1(&cfg, &t);
         let measured = r.events.unit_cycles as f64 / r.cycles as f64;
-        let planned = dpgs_required(&cfg, &[64; 8]) as f64;
+        let planned = dpgs_required(&cfg, [64; 8]) as f64;
         assert!((measured - planned).abs() < 0.6, "measured {measured} planned {planned}");
     }
 

@@ -8,7 +8,7 @@
 //! study — and the paper selects outer-product ordering with an adaptive
 //! intra-layer row/column-major choice.
 
-use simkit::{tile_products, Block16};
+use simkit::{tile_col_occupancy, tile_products, tile_row_occupancy, tile_transpose, Block16};
 
 /// One T3 task: a 4x4x4 tile multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,118 +56,146 @@ impl std::fmt::Display for TaskOrdering {
     }
 }
 
+/// The TMS's view of one T1 task: the sixteen 4x4 tile masks of each
+/// operand and the four intermediate-product layer bitmaps of Fig. 8 (1).
+///
+/// Bit `i * 4 + j` of `layers[k]` marks T3 task `C(i,j) += A(i,k) x
+/// B(k,j)`: both tiles are nonzero and share a contraction index, so the
+/// product is nonzero. The T3 list, its length and its product total are
+/// all read from this one value, by set-bit iteration over the layers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileLayers {
+    /// `a[i * 4 + k]` is tile `A(i, k)`.
+    a: [u16; 16],
+    /// `b[k * 4 + j]` is tile `B(k, j)`.
+    b: [u16; 16],
+    layers: [u16; 4],
+}
+
+/// The set bit positions of `m`, ascending.
+#[inline]
+pub(crate) fn set_bits(mut m: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if m == 0 {
+            return None;
+        }
+        let bit = m.trailing_zeros() as usize;
+        m &= m - 1;
+        Some(bit)
+    })
+}
+
+impl TileLayers {
+    pub(crate) fn new(a: &Block16, b: &Block16) -> Self {
+        let mut at = [0u16; 16];
+        let mut bt = [0u16; 16];
+        for t in 0..4 {
+            for u in 0..4 {
+                at[t * 4 + u] = a.tile(t, u);
+                bt[t * 4 + u] = b.tile(t, u);
+            }
+        }
+        let mut layers = [0u16; 4];
+        for (k, layer) in layers.iter_mut().enumerate() {
+            // Nibble j: the contraction indices tile B(k, j) holds.
+            let b_rows = (0..4).fold(0u16, |m, j| m | tile_row_occupancy(bt[k * 4 + j]) << (4 * j));
+            for i in 0..4 {
+                // Nibble j: the contraction indices A(i, k) and B(k, j)
+                // share; task (i, j, k) exists when it is nonzero.
+                let shared = (tile_col_occupancy(at[i * 4 + k]) * 0x1111) & b_rows;
+                *layer |= tile_row_occupancy(shared) << (4 * i);
+            }
+        }
+        TileLayers { a: at, b: bt, layers }
+    }
+
+    /// Number of T3 tasks.
+    pub(crate) fn t3_count(&self) -> usize {
+        self.layers.iter().map(|l| l.count_ones() as usize).sum()
+    }
+
+    /// Intermediate products summed over every T3 task.
+    pub(crate) fn products(&self) -> u64 {
+        let mut sum = 0u64;
+        for (k, &layer) in self.layers.iter().enumerate() {
+            for o in set_bits(layer) {
+                sum += u64::from(self.task(o / 4, o % 4, k).products);
+            }
+        }
+        sum
+    }
+
+    #[inline]
+    fn task(&self, i: usize, j: usize, k: usize) -> T3Task {
+        let (a_tile, b_tile) = (self.a[i * 4 + k], self.b[k * 4 + j]);
+        T3Task {
+            i: i as u8,
+            j: j as u8,
+            k: k as u8,
+            a_tile,
+            b_tile,
+            products: tile_products(a_tile, b_tile),
+        }
+    }
+
+    /// The T3 tasks in the given ordering.
+    pub(crate) fn tasks(&self, ordering: TaskOrdering) -> Vec<T3Task> {
+        let mut out = Vec::with_capacity(self.t3_count());
+        let layers = &self.layers;
+        match ordering {
+            TaskOrdering::DotProduct => {
+                for o in set_bits(layers[0] | layers[1] | layers[2] | layers[3]) {
+                    for (k, &layer) in layers.iter().enumerate() {
+                        if layer >> o & 1 == 1 {
+                            out.push(self.task(o / 4, o % 4, k));
+                        }
+                    }
+                }
+            }
+            TaskOrdering::OuterProduct => {
+                for (k, &layer) in layers.iter().enumerate() {
+                    // Adaptive intra-layer order: column-major when nonzero
+                    // rows outnumber nonzero columns, row-major otherwise.
+                    let nz_rows = tile_row_occupancy(layer).count_ones();
+                    if nz_rows > tile_col_occupancy(layer).count_ones() {
+                        for p in set_bits(tile_transpose(layer)) {
+                            out.push(self.task(p % 4, p / 4, k));
+                        }
+                    } else {
+                        for o in set_bits(layer) {
+                            out.push(self.task(o / 4, o % 4, k));
+                        }
+                    }
+                }
+            }
+            TaskOrdering::RowRow => {
+                for i in 0..4 {
+                    for (k, &layer) in layers.iter().enumerate() {
+                        for j in set_bits(layer >> (i * 4) & 0xF) {
+                            out.push(self.task(i, j, k));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Generates the T3 tasks of a T1 task in the given ordering.
 ///
 /// Tile pairs whose structural product is empty are dropped (they would
 /// occupy a DPG for zero work; the DPG's bitmap overlay detects this in
 /// one cycle, which we fold into TMS generation).
-#[allow(clippy::needless_range_loop)] // k/i/j index two parallel structures
 pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Vec<T3Task> {
-    let mut grid = [[[None::<T3Task>; 4]; 4]; 4]; // [k][i][j]
-    for k in 0..4usize {
-        for i in 0..4usize {
-            let a_tile = a.tile(i, k);
-            if a_tile == 0 {
-                continue;
-            }
-            for j in 0..4usize {
-                let b_tile = b.tile(k, j);
-                if b_tile == 0 {
-                    continue;
-                }
-                let products = tile_products(a_tile, b_tile);
-                if products == 0 {
-                    continue;
-                }
-                grid[k][i][j] = Some(T3Task {
-                    i: i as u8,
-                    j: j as u8,
-                    k: k as u8,
-                    a_tile,
-                    b_tile,
-                    products,
-                });
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    match ordering {
-        TaskOrdering::DotProduct => {
-            for i in 0..4 {
-                for j in 0..4 {
-                    for layer in grid.iter() {
-                        if let Some(t) = layer[i][j] {
-                            out.push(t);
-                        }
-                    }
-                }
-            }
-        }
-        TaskOrdering::OuterProduct => {
-            for layer in grid.iter() {
-                // Adaptive intra-layer order: column-major when nonzero
-                // rows outnumber nonzero columns, row-major otherwise.
-                let nz_rows =
-                    (0..4).filter(|&i| (0..4).any(|j| layer[i][j].is_some())).count();
-                let nz_cols =
-                    (0..4).filter(|&j| (0..4).any(|i| layer[i][j].is_some())).count();
-                if nz_rows > nz_cols {
-                    for j in 0..4 {
-                        for row in layer.iter() {
-                            if let Some(t) = row[j] {
-                                out.push(t);
-                            }
-                        }
-                    }
-                } else {
-                    for row in layer.iter() {
-                        for t in row.iter().flatten() {
-                            out.push(*t);
-                        }
-                    }
-                }
-            }
-        }
-        TaskOrdering::RowRow => {
-            for i in 0..4 {
-                for layer in grid.iter() {
-                    for t in layer[i].iter().flatten() {
-                        out.push(*t);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// [`generate_t3_tasks`] with instrumentation: records one
-/// [`TmsGenerate`](obs::TraceEvent::TmsGenerate) event carrying the batch
-/// size (timestamp 0 — generation latency is hidden by the asynchronous
-/// `stc.task_gen` lifecycle, so the batch materialises at task start).
-pub fn generate_t3_tasks_traced(
-    a: &Block16,
-    b: &Block16,
-    ordering: TaskOrdering,
-    sink: &mut dyn obs::TraceSink,
-) -> Vec<T3Task> {
-    let tasks = generate_t3_tasks(a, b, ordering);
-    if sink.enabled() {
-        sink.record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: tasks.len() as u32 });
-    }
-    tasks
+    TileLayers::new(a, b).tasks(ordering)
 }
 
 /// The four intermediate-product bitmap layers of Fig. 8 (1): bit
 /// `i * 4 + j` of `layers[k]` marks T3 task `C(i,j) += A(i,k) x B(k,j)`
 /// as present (both tiles structurally nonzero with a nonzero product).
 pub fn layer_bitmaps(a: &Block16, b: &Block16) -> [u16; 4] {
-    let mut layers = [0u16; 4];
-    for t in generate_t3_tasks(a, b, TaskOrdering::OuterProduct) {
-        layers[t.k as usize] |= 1 << t.output_id();
-    }
-    layers
+    TileLayers::new(a, b).layers
 }
 
 /// Fig. 10 metrics of one ordering on one T1 task, evaluated with

@@ -132,6 +132,7 @@ impl Block16 {
     /// # Panics
     ///
     /// Panics if `tr >= 4` or `tc >= 4`.
+    #[inline]
     pub fn tile(&self, tr: usize, tc: usize) -> u16 {
         assert!(tr < 4 && tc < 4, "tile index out of bounds");
         let mut m = 0u16;
@@ -225,12 +226,39 @@ pub fn tile_col(mask: u16, c: usize) -> u16 {
     m
 }
 
+/// Bit `r` set when row `r` of a 4x4 tile mask holds an element.
+#[inline]
+pub fn tile_row_occupancy(mask: u16) -> u16 {
+    let m = mask | mask >> 1 | mask >> 2 | mask >> 3;
+    (m & 1) | (m >> 3 & 2) | (m >> 6 & 4) | (m >> 9 & 8)
+}
+
+/// Bit `c` set when column `c` of a 4x4 tile mask holds an element.
+#[inline]
+pub fn tile_col_occupancy(mask: u16) -> u16 {
+    (mask | mask >> 4 | mask >> 8 | mask >> 12) & 0xF
+}
+
+/// The transposed 4x4 tile mask: element `(r, c)` moves to `(c, r)`, so
+/// row `n` of the result is [`tile_col`]`(mask, n)`. Two delta swaps:
+/// within each 2x2 sub-block, then of the off-diagonal sub-blocks.
+#[inline]
+pub fn tile_transpose(mask: u16) -> u16 {
+    let t = (mask ^ mask >> 3) & 0x0A0A;
+    let m = mask ^ t ^ t << 3;
+    let t = (m ^ m >> 6) & 0x00CC;
+    m ^ t ^ t << 6
+}
+
 /// Number of intermediate products of a 4x4x4 tile multiplication
-/// `A_tile x B_tile`: `sum over k of nnz(col k of a) * nnz(row k of b)`.
+/// `A_tile x B_tile`: `sum over k of nnz(col k of a) * nnz(row k of b)`,
+/// from eight masked popcounts (column `k` of a tile mask is the bits
+/// `0x1111 << k`, row `k` the bits `0xF << 4k`).
+#[inline]
 pub fn tile_products(a: u16, b: u16) -> u32 {
     let mut p = 0u32;
     for k in 0..4 {
-        p += tile_col(a, k).count_ones() * tile_row(b, k).count_ones();
+        p += (a & (0x1111 << k)).count_ones() * (b & (0xF << (4 * k))).count_ones();
     }
     p
 }
@@ -350,12 +378,35 @@ mod tests {
     }
 
     #[test]
+    fn tile_occupancy_and_transpose_match_rows_and_columns() {
+        for mask in 0..=u16::MAX {
+            let t = tile_transpose(mask);
+            for i in 0..4 {
+                assert_eq!(tile_row(t, i), tile_col(mask, i), "{mask:#06x}");
+                assert_eq!(tile_row_occupancy(mask) >> i & 1 == 1, tile_row(mask, i) != 0);
+                assert_eq!(tile_col_occupancy(mask) >> i & 1 == 1, tile_col(mask, i) != 0);
+            }
+        }
+    }
+
+    #[test]
     fn tile_products_dense() {
         assert_eq!(tile_products(u16::MAX, u16::MAX), 64);
         assert_eq!(tile_products(0, u16::MAX), 0);
         // Diagonal tile x dense tile: 4 k's, 1 x 4 each.
         let diag = 0b1000_0100_0010_0001;
         assert_eq!(tile_products(diag, u16::MAX), 16);
+    }
+
+    #[test]
+    fn tile_products_match_column_row_counts() {
+        let mut rng = sparse::rng::Rng64::new(0x7117);
+        for _ in 0..4096 {
+            let (a, b) = (rng.next_u64() as u16, rng.next_u64() as u16);
+            let expect: u32 =
+                (0..4).map(|k| tile_col(a, k).count_ones() * tile_row(b, k).count_ones()).sum();
+            assert_eq!(tile_products(a, b), expect, "{a:#06x} x {b:#06x}");
+        }
     }
 
     #[test]

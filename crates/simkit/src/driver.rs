@@ -353,9 +353,10 @@ where
 /// re-bases each task's task-local engine trace onto it, bracketing it with
 /// [`TaskIssue`](obs::TraceEvent::TaskIssue) /
 /// [`TaskRetire`](obs::TraceEvent::TaskRetire) markers. With a disabled
-/// sink ([`obs::NoopSink`]) this is exactly `run_tasks`: same arithmetic on
-/// the same path, so reports are bit-identical whether or not a trace is
-/// attached.
+/// sink ([`obs::NoopSink`]) each task runs through [`TileEngine::execute`]
+/// and this is exactly `run_tasks`; with an enabled one through
+/// [`TileEngine::execute_traced`], which must return the same result, so
+/// reports are bit-identical whether or not a trace is attached.
 pub fn run_tasks_traced<I>(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -382,9 +383,13 @@ where
                 products: task.products(),
             });
         }
-        let mut r = {
-            let mut shifted = obs::OffsetSink::new(sink, cycles);
-            engine.execute_traced(&task, &mut shifted)
+        // A disabled sink takes the untraced path: `TileEngine` requires
+        // both methods to return the same result, and `execute` skips the
+        // per-event plumbing of the rebasing sink.
+        let mut r = if sink.enabled() {
+            engine.execute_traced(&task, &mut obs::OffsetSink::new(sink, cycles))
+        } else {
+            engine.execute(&task)
         };
         r.events.meta_words += META_WORDS_PER_TASK;
         if r.events.c_ports_cycles == 0 {
@@ -641,6 +646,8 @@ mod tests {
 
     #[test]
     fn noop_sink_report_matches_untraced_run() {
+        // The seven simulated engines live downstream of this crate; the
+        // sweep over all of them is `tests/observability.rs`.
         let a = bbc_from(&[(0, 0), (0, 1), (20, 20)], 32);
         let plain = run_spmv(&Ideal, &EnergyModel::default(), &a);
         let traced = run_tasks_traced(
@@ -651,6 +658,16 @@ mod tests {
             &mut obs::NoopSink,
         );
         assert_eq!(plain, traced);
+        let mut events: Vec<obs::TraceEvent> = Vec::new();
+        let recorded = run_tasks_traced(
+            &Ideal,
+            &EnergyModel::default(),
+            Kernel::SpMV,
+            spmv_tasks(&a),
+            &mut events,
+        );
+        assert_eq!(plain, recorded);
+        assert!(!events.is_empty());
     }
 
     #[test]

@@ -63,7 +63,10 @@ pub mod report;
 mod result;
 mod task;
 
-pub use bitmap::{tile_col, tile_products, tile_row, Block16};
+pub use bitmap::{
+    tile_col, tile_col_occupancy, tile_products, tile_row, tile_row_occupancy, tile_transpose,
+    Block16,
+};
 pub use driver::{KernelSpec, StreamVerifier, VerifyError};
 pub use energy::{EnergyBreakdown, EnergyModel, NetworkCosts};
 pub use engine::{Precision, TileEngine};

@@ -104,4 +104,11 @@ cargo test -p service -q --test stencil_determinism
 cargo run --release -p bench --bin stencil_bench -- \
     --label ci-stencil --steps 8 --threads 2 --assert
 
+echo "== benchmark package tests =="
+# perfbench is its own workspace, so the workspace test run above does not
+# reach it. Its tests check every reply against the serial driver, replay
+# fidelity and exact work counts on the real workloads. No --locked: cargo
+# refreshes perfbench/Cargo.lock when a workspace crate's dependencies move.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

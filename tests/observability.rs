@@ -47,6 +47,33 @@ fn disabled_trace_is_bit_identical_to_untraced_run() {
 }
 
 #[test]
+fn noop_sink_report_matches_untraced_run_on_all_engines() {
+    // The driver runs a task through `execute` under a disabled sink and
+    // through `execute_traced` under an enabled one; every engine must give
+    // the same report either way, and the same as no sink at all.
+    let ctx = bench::MatrixCtx::new("rmat", workloads::gen::rmat(128, 1024, 5), 5);
+    let em = EnergyModel::default();
+    for engine in bench::all_engines(Precision::Fp64) {
+        let engine = engine.as_ref();
+        let name = engine.name();
+        for kernel in bench::KERNELS {
+            let spec = ctx.spec(kernel);
+            let plain = simkit::driver::run_tasks(engine, &em, kernel, spec.tasks());
+            let noop = run_tasks_traced(engine, &em, kernel, spec.tasks(), &mut obs::NoopSink);
+            let mut events: Vec<obs::TraceEvent> = Vec::new();
+            let recorded = run_tasks_traced(engine, &em, kernel, spec.tasks(), &mut events);
+            assert!(plain.t1_tasks > 0, "{name} {kernel:?}: empty stream");
+            assert_eq!(plain, noop, "{name} {kernel:?}: no sink vs a disabled sink");
+            assert_eq!(plain, recorded, "{name} {kernel:?}: no sink vs a recording sink");
+            assert_eq!(
+                events.iter().filter(|e| e.kind() == "task_issue").count() as u64,
+                plain.t1_tasks
+            );
+        }
+    }
+}
+
+#[test]
 fn enabled_trace_never_changes_the_report() {
     let (engine, bbc) = fixture();
     let em = EnergyModel::default();
